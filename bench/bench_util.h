@@ -16,7 +16,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baseline/lsii_index.h"
@@ -35,15 +34,6 @@ inline double Scale() {
 
 inline std::size_t Scaled(std::size_t base) {
   return static_cast<std::size_t>(base * Scale());
-}
-
-/// Whether wall-clock speedup is measurable on this host. On one CPU
-/// every thread setting time-slices the same core, so a speedup ratio is
-/// noise around 1.0 — benches must emit "parallelism": "unavailable"
-/// instead of a number that downstream tracking would mistake for a
-/// regression or a win.
-inline bool ParallelismMeasurable() {
-  return std::thread::hardware_concurrency() > 1;
 }
 
 /// Corpus statistics mirror the Ximalaya dataset's shape at reduced size.
@@ -181,24 +171,6 @@ struct BaselineReport {
   }
   double MetaNum(const std::string& key, double fallback = 0.0) const {
     return Num(meta, key, fallback);
-  }
-
-  /// The first row where every (key, numeric value) of `match` agrees,
-  /// or null. Benches key rows on their sweep variables (mix, queries,
-  /// streams, query_threads, ...).
-  const std::map<std::string, std::string>* FindRow(
-      const std::vector<std::pair<std::string, double>>& match) const {
-    for (const auto& row : rows) {
-      bool ok = true;
-      for (const auto& [key, value] : match) {
-        if (Num(row, key, value - 1.0) != value) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) return &row;
-    }
-    return nullptr;
   }
 };
 

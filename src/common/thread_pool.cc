@@ -32,26 +32,6 @@ void ThreadPool::Wait() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
-void TaskGroup::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++pending_;
-  }
-  pool_->Submit([this, task = std::move(task)] {
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --pending_;
-      if (pending_ == 0) done_cv_.notify_all();
-    }
-  });
-}
-
-void TaskGroup::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return pending_ == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;

@@ -45,33 +45,6 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Completion tracking for one batch of tasks on a *shared* ThreadPool.
-/// ThreadPool::Wait() drains the whole pool — useless when several callers
-/// (e.g. concurrent queries) share it. A TaskGroup waits for exactly the
-/// tasks it submitted.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
-
-  /// Wait() must have returned (or nothing submitted) before destruction.
-  ~TaskGroup() { Wait(); }
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Enqueues `task` on the pool and tracks its completion.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every task submitted through this group has finished.
-  void Wait();
-
- private:
-  ThreadPool* pool_;  // Not owned.
-  std::mutex mu_;
-  std::condition_variable done_cv_;
-  std::size_t pending_ = 0;
-};
-
 }  // namespace rtsi
 
 #endif  // RTSI_COMMON_THREAD_POOL_H_

@@ -21,10 +21,16 @@ struct ScoreWeights {
 /// How the popularity part of the pruning bound is computed.
 enum class BoundMode {
   /// Per-term popularity/freshness snapshots from the inverted lists (the
-  /// paper's design). Exact unless popularity or freshness updates landed
-  /// after insertion: stale snapshots can under-estimate a component's
-  /// bound, so early termination may drop a drift-affected stream the
-  /// full walk would have returned.
+  /// paper's design). Not sound in general: a stream is scored with its
+  /// live popularity and freshness, while a sealed posting keeps the
+  /// values from its insertion. A popularity update, or simply a later
+  /// window of the same stream (every multi-window broadcast raises its
+  /// freshness), makes the snapshot under-estimate the component's bound,
+  /// and early termination can then drop a true top-k stream that the
+  /// full walk returns. Exact only for write-once streams. kGlobalPop is
+  /// the sound mode; the full-walk oracles and the end-to-end benchmark
+  /// use it. (Still the default: changing it changes the fig10
+  /// checksums.)
   kSnapshot,
   /// Global ceilings — the maximum popularity counter and the maximum
   /// live freshness: looser but always sound, even under post-seal
@@ -76,20 +82,6 @@ struct RtsiConfig {
   /// IndexView they pinned at entry. Off by default to match the paper's
   /// measured setup.
   bool async_merge = false;
-
-  /// Degree of parallelism for the sealed-component phase of a query.
-  /// 0 = the legacy single-threaded path (default; behavior unchanged).
-  /// n >= 1 = the parallel executor with n-way traversal: the querying
-  /// thread plus n-1 workers from a pool owned by the index.
-  ///
-  /// The executor always prunes with the sound kGlobalPop ceilings (a
-  /// timing-dependent kSnapshot prune would make parallel results racy),
-  /// so with query_threads >= 1 results are deterministic and
-  /// bit-identical to the sequential path under kGlobalPop pruning; only
-  /// QueryStats counters may differ, since pruning opportunities depend
-  /// on traversal timing. A kSnapshot baseline can additionally miss
-  /// drift-affected streams that the executor correctly retains.
-  int query_threads = 0;
 };
 
 }  // namespace rtsi::core

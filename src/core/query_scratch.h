@@ -4,8 +4,8 @@
 // and rebuild a stream -> tf-vector map per query (Asadi & Lin's
 // observation: allocation discipline on the scoring path is what keeps
 // real-time tail latency flat). A QueryScratch owns all of those buffers;
-// a query (or a parallel-executor worker) leases one from the index's
-// ScratchPool, so steady state runs without heap allocation. No
+// a query leases one from the index's ScratchPool, so steady state runs
+// without heap allocation. No
 // thread_local involved: leases make ownership explicit and keep the pool
 // usable from any thread.
 
@@ -164,14 +164,6 @@ class ScratchPool {
     scratch->Clear();
     std::lock_guard<std::mutex> lock(mu_);
     free_.push_back(std::move(scratch));
-  }
-
-  /// Drops cached scratches beyond `keep` (SetQueryThreads shrink: steady
-  /// state needs one scratch per executing thread). Outstanding leases are
-  /// unaffected — a scratch released later is simply cached again.
-  void TrimTo(std::size_t keep) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (free_.size() > keep) free_.resize(keep);
   }
 
  private:

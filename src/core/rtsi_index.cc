@@ -149,34 +149,9 @@ RtsiIndex::RtsiIndex(const RtsiConfig& config)
   if (config.async_merge) {
     merge_executor_ = std::make_unique<ThreadPool>(1);
   }
-  if (config.query_threads > 1) {
-    // The querying thread is one worker of the executor; the pool supplies
-    // the other query_threads - 1.
-    query_pool_ = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(config.query_threads) - 1);
-  }
 }
 
 RtsiIndex::~RtsiIndex() { WaitForMerges(); }
-
-void RtsiIndex::SetQueryThreads(int query_threads) {
-  config_.query_threads = query_threads < 0 ? 0 : query_threads;
-  const auto want = static_cast<std::size_t>(
-      config_.query_threads > 1 ? config_.query_threads - 1 : 0);
-  const std::size_t have =
-      query_pool_ != nullptr ? query_pool_->num_threads() : 0;
-  if (want == have) return;
-  if (query_pool_ != nullptr) {
-    // Drain in-flight tasks; with no concurrent queries (the caller's
-    // contract) every scratch lease has been returned to the pool once
-    // Wait() returns, so the excess workers can be joined safely.
-    query_pool_->Wait();
-  }
-  query_pool_ = want > 0 ? std::make_unique<ThreadPool>(want) : nullptr;
-  // Steady state needs one scratch per executing thread (workers plus the
-  // querying thread); release the rest so memory tracks the new degree.
-  scratch_pool_.TrimTo(want + 1);
-}
 
 void RtsiIndex::SetUseBound(bool use_bound) {
   config_.use_bound = use_bound;
@@ -193,6 +168,10 @@ void RtsiIndex::SetMergePolicy(lsm::MergePolicy policy) {
 
 void RtsiIndex::SetCascadeObserver(std::function<void()> observer) {
   cascade_observer_ = std::move(observer);
+}
+
+void RtsiIndex::SetPreSwapObserver(std::function<void()> observer) {
+  pre_swap_observer_ = std::move(observer);
 }
 
 void RtsiIndex::BindSharedScoring(
@@ -215,28 +194,34 @@ lsm::MergeHooks RtsiIndex::MakeMergeHooks() {
   hooks.is_deleted = [this](StreamId stream) {
     return streams_.IsDeleted(stream);
   };
+  // Everything a query reads besides its pinned view — the live-term
+  // table's exact totals and the stream table's component counts — must
+  // describe the published view (DESIGN.md §6e). So a merge registers its
+  // output's residency before the swap (the output's ceiling must cover
+  // inserts racing the merge), but counts a stream's consolidated copies
+  // as one, and evicts its live-table entries, only after the swap.
   hooks.on_purged = [this](StreamId stream) {
+    // Safe before the swap: the stream is deleted, and deleted streams
+    // are never scored (exec::ComputeScore), whatever the table holds.
     live_terms_.RemoveStream(stream);
   };
-  hooks.on_stream = [this](StreamId stream, std::uint32_t copies,
+  hooks.on_stream = [this](StreamId stream, std::uint32_t,
                            const index::InvertedIndex& merged) {
-    // Register the stream on the (unpublished) merge output — its live
-    // freshness bumps the output's ceiling cell on the way. The input
-    // residencies stay until on_retired fires post-swap, so inserts keep
-    // bumping the still-query-visible inputs' ceilings. When the merge
-    // consolidated several of this stream's residencies into one and the
-    // stream stopped broadcasting, the per-component tf is the total and
-    // the live-term entries can go.
-    const auto [count, live] = streams_.MergeResidency(
-        stream, copies, merged.component_id(), merged.ceiling_cell());
-    if (copies > 1 && count <= 1 && !live) live_terms_.RemoveStream(stream);
+    streams_.MergeResidency(stream, merged.component_id(),
+                            merged.ceiling_cell());
   };
-  hooks.on_retired = [this](StreamId stream,
+  hooks.on_retired = [this](StreamId stream, std::uint32_t copies,
                             const std::vector<ComponentId>& from) {
     // The merge inputs left the component list: their ceiling cells can
-    // no longer reach a query, so the residency entries go.
-    streams_.DropResidency(stream, from);
+    // no longer reach a query, so the residency entries go, and the
+    // copies now count as one component. When that consolidated several
+    // residencies and the stream stopped broadcasting, the single
+    // component's tf is the total and the live-term entries can go.
+    std::lock_guard<std::mutex> stream_lock(StreamMutex(stream));
+    const auto [count, live] = streams_.DropResidency(stream, copies, from);
+    if (copies > 1 && count <= 1 && !live) live_terms_.RemoveStream(stream);
   };
+  hooks.on_pre_swap = pre_swap_observer_;
   hooks.on_cascade_step = cascade_observer_;
   hooks.on_frozen = [this](const index::InvertedIndex& frozen) {
     // A new sealed component is about to become query-visible: register a
@@ -264,8 +249,10 @@ void RtsiIndex::DrainPendingFinished() {
     pending_finished_.clear();
   }
   // These streams finished with all postings in L0; the cascade that just
-  // ran consolidated them into a single sealed component.
+  // ran consolidated them into a single sealed component and published
+  // every step, so the eviction cannot outrun the view.
   for (const StreamId stream : pending) {
+    std::lock_guard<std::mutex> stream_lock(StreamMutex(stream));
     if (streams_.GetComponentCount(stream) <= 1 &&
         !tree_.StreamInL0(stream)) {
       live_terms_.RemoveStream(stream);
@@ -275,34 +262,43 @@ void RtsiIndex::DrainPendingFinished() {
 
 void RtsiIndex::InsertWindow(StreamId stream, Timestamp now,
                              const std::vector<TermCount>& terms, bool live) {
-  // Algorithm 1. Lines 1-3: append to I0's lists and update hash tables.
-  std::uint64_t pop_count = 0;
-  const bool new_stream = streams_.OnInsert(stream, now, live, &pop_count);
-  if (new_stream) {
-    df_.AddDocument();
-    if (shared_scoring_ != nullptr) shared_scoring_->df.AddDocument();
-  }
-  const float pop_snapshot = static_cast<float>(pop_count);
-
-  const std::vector<TermFreq> totals = live_terms_.AddWindow(stream, terms);
-  for (std::size_t i = 0; i < terms.size(); ++i) {
-    const TermCount& tc = terms[i];
-    if (tc.tf == 0) continue;
-    if (totals[i] == tc.tf) {  // First window holding this term.
-      df_.AddOccurrence(tc.term);
-      if (shared_scoring_ != nullptr) {
-        shared_scoring_->df.AddOccurrence(tc.term);
-      }
+  {
+    // Algorithm 1. Lines 1-3: append to I0's lists and update hash tables.
+    // Under the stream's lock, so no eviction of this stream can decide on
+    // the component count this window is about to raise.
+    std::lock_guard<std::mutex> stream_lock(StreamMutex(stream));
+    std::uint64_t pop_count = 0;
+    const bool new_stream = streams_.OnInsert(stream, now, live, &pop_count);
+    if (new_stream) {
+      df_.AddDocument();
+      if (shared_scoring_ != nullptr) shared_scoring_->df.AddDocument();
+    } else if (!live_terms_.ContainsStream(stream) &&
+               !streams_.IsDeleted(stream)) {
+      SeedLiveTotals(stream);
     }
-    // AddPosting marks the stream's L0-epoch presence atomically with the
-    // posting (under the term-shard lock), returning true on the stream's
-    // first posting of the epoch. Incrementing per true return — instead
-    // of one up-front MarkStreamInL0 — closes the race where a freeze
-    // slipped between the mark and the adds and left the component count
-    // short for the new epoch; a freeze splitting this window's postings
-    // across two epochs now yields the correct two increments.
-    if (tree_.AddPosting(tc.term, Posting{stream, pop_snapshot, now, tc.tf})) {
-      streams_.IncrementComponentCount(stream);
+    const float pop_snapshot = static_cast<float>(pop_count);
+
+    const std::vector<TermFreq> totals = live_terms_.AddWindow(stream, terms);
+    for (std::size_t i = 0; i < terms.size(); ++i) {
+      const TermCount& tc = terms[i];
+      if (tc.tf == 0) continue;
+      if (totals[i] == tc.tf) {  // First window holding this term.
+        df_.AddOccurrence(tc.term);
+        if (shared_scoring_ != nullptr) {
+          shared_scoring_->df.AddOccurrence(tc.term);
+        }
+      }
+      // AddPosting marks the stream's L0-epoch presence atomically with the
+      // posting (under the term-shard lock), returning true on the stream's
+      // first posting of the epoch. Incrementing per true return — instead
+      // of one up-front MarkStreamInL0 — closes the race where a freeze
+      // slipped between the mark and the adds and left the component count
+      // short for the new epoch; a freeze splitting this window's postings
+      // across two epochs now yields the correct two increments.
+      if (tree_.AddPosting(tc.term,
+                           Posting{stream, pop_snapshot, now, tc.tf})) {
+        streams_.IncrementComponentCount(stream);
+      }
     }
   }
 
@@ -323,7 +319,30 @@ void RtsiIndex::InsertWindow(StreamId stream, Timestamp now,
   }
 }
 
+void RtsiIndex::SeedLiveTotals(StreamId stream) {
+  // The stream was evicted from the live-term table once its postings sat
+  // in one sealed component, and now receives windows again: they will
+  // span two components, so the table needs its exact totals back, and
+  // the sealed component holds the part before the eviction.
+  const std::vector<ComponentId> residency = streams_.GetResidency(stream);
+  if (residency.empty()) return;
+  const lsm::IndexViewPtr view = tree_.PinView();
+  for (const auto& component : view->components) {
+    if (std::find(residency.begin(), residency.end(),
+                  component->component_id()) == residency.end()) {
+      continue;
+    }
+    component->ForEachTerm([&](TermId term, const TermPostings& postings) {
+      Posting agg;
+      if (postings.AggregateForStream(stream, agg)) {
+        live_terms_.Add(stream, term, agg.tf);
+      }
+    });
+  }
+}
+
 void RtsiIndex::FinishStream(StreamId stream) {
+  std::lock_guard<std::mutex> stream_lock(StreamMutex(stream));
   streams_.MarkFinished(stream);
   if (streams_.GetComponentCount(stream) <= 1) {
     if (!tree_.StreamInL0(stream)) {
@@ -335,8 +354,9 @@ void RtsiIndex::FinishStream(StreamId stream) {
       pending_finished_.insert(stream);
     }
   }
-  // Streams spanning several components are evicted by the merge hook
-  // once consolidation brings them down to one residency.
+  // Streams spanning several components are evicted by the post-swap
+  // merge hook (on_retired) once consolidation brings them down to one
+  // residency.
 }
 
 void RtsiIndex::DeleteStream(StreamId stream) {
@@ -355,26 +375,86 @@ void RtsiIndex::UpdatePopularity(StreamId stream, std::uint64_t delta) {
 std::vector<ScoredStream> RtsiIndex::Query(const std::vector<TermId>& terms,
                                            int k, Timestamp now,
                                            QueryStats* stats) {
-  return QueryImpl(terms, k, now, QueryFilter{}, stats, nullptr);
+  return QueryFiltered(terms, k, now, QueryFilter{}, stats);
 }
 
 std::vector<ScoredStream> RtsiIndex::QueryFiltered(
     const std::vector<TermId>& terms, int k, Timestamp now,
     const QueryFilter& filter, QueryStats* stats) {
-  return QueryImpl(terms, k, now, filter, stats, nullptr);
+  // The plan is built into the leased scratch, whose vectors keep their
+  // capacity across queries, so the steady-state query path never
+  // allocates a plan.
+  ScratchLease lease(scratch_pool_);
+  QueryScratch& scratch = *lease;
+  BuildPlanInto(terms, k, now, filter, scratch.term_set, scratch.plan);
+  exec::TopKSink sink(k);
+  return Execute(scratch.plan, sink, scratch, stats);
 }
 
 QueryExplanation RtsiIndex::ExplainQuery(const std::vector<TermId>& terms,
                                          int k, Timestamp now,
                                          const QueryFilter& filter) {
-  QueryExplanation explanation;
-  QueryImpl(terms, k, now, filter, nullptr, &explanation);
-  return explanation;
+  QueryExplanation explain;
+  ScratchLease lease(scratch_pool_);
+  QueryScratch& scratch = *lease;
+  const exec::QueryPlan& plan = scratch.plan;
+  BuildPlanInto(terms, k, now, filter, scratch.term_set, scratch.plan);
+  explain.terms = plan.terms;
+  explain.k = k;
+  explain.now = now;
+  if (plan.empty()) return explain;
+  explain.idfs = plan.idfs;
+
+  // The sequential walk again, with the recorder policies capturing
+  // per-candidate breakdowns and the selector/driver filling
+  // per-component bookkeeping.
+  QueryStats qs;
+  exec::TopKSink sink(k);
+  std::unordered_map<StreamId, ScoreBreakdown> breakdowns;
+  std::unordered_set<StreamId> scored;
+  ExplainRecorder recorder(plan, scorer_, streams_, sink, qs, breakdowns);
+  exec::RunLiveTablePhase(plan, scorer_, live_terms_, scratch, scored,
+                          recorder);
+  explain.live_table_candidates = scored.size();
+  explain.l0_candidates =
+      exec::RunL0Phase(plan, scorer_, tree_, scratch, scored, recorder, qs);
+  const lsm::IndexViewPtr view = tree_.PinView();
+  exec::SelectorOptions options;
+  options.consult_headers = config_.use_skip_header;
+  options.fallback_ceiling = streams_.max_frsh();
+  const std::vector<exec::SelectedComponent> selected =
+      exec::SelectComponents(
+          plan, scorer_, view->components, options,
+          {scratch.per_term, scratch.screen_own, scratch.screen_tfidf}, qs,
+          &explain);
+  ExplainSealedPolicy policy(plan, scorer_, scratch, streams_.max_stream_id(),
+                             scored, recorder);
+  exec::RunSealedSequential(plan, scorer_, selected, policy, sink, qs,
+                            &explain);
+
+  const std::vector<ScoredStream> results = sink.SortedResults();
+  explain.results.reserve(results.size());
+  for (const auto& r : results) {
+    auto it = breakdowns.find(r.stream);
+    if (it != breakdowns.end()) explain.results.push_back(it->second);
+  }
+  FoldLifetimeCounters(qs);
+  return explain;
 }
 
 exec::QueryPlan RtsiIndex::BuildPlan(const std::vector<TermId>& terms,
                                      int k, Timestamp now,
                                      const QueryFilter& filter) const {
+  exec::QueryPlan plan;
+  std::vector<TermId> term_set;
+  BuildPlanInto(terms, k, now, filter, term_set, plan);
+  return plan;
+}
+
+void RtsiIndex::BuildPlanInto(const std::vector<TermId>& terms, int k,
+                              Timestamp now, const QueryFilter& filter,
+                              std::vector<TermId>& term_set,
+                              exec::QueryPlan& plan) const {
   // Sharded deployments score with the corpus-global statistics so every
   // shard computes exactly the score a single unsharded index would; the
   // shard-local tables are a subset (df) / lower bound (max pop) of the
@@ -387,21 +467,9 @@ exec::QueryPlan RtsiIndex::BuildPlan(const std::vector<TermId>& terms,
           ? std::max(shared_scoring_->max_pop.load(std::memory_order_relaxed),
                      streams_.max_pop_count())
           : streams_.max_pop_count();
-  // Whenever the executor is enabled (including its sequential explain
-  // fallback, which must return the same results), pruning uses the
-  // kGlobalPop ceilings. kSnapshot bounds go stale when popularity or
-  // freshness updates land after a component seals, which makes pruning
-  // decisions depend on traversal timing — sound ceilings are what turn
-  // the executor's bit-identity into a theorem instead of a race.
-  const BoundMode bound_mode = config_.query_threads > 0
-                                   ? BoundMode::kGlobalPop
-                                   : config_.bound_mode;
-  exec::QueryPlan plan;
-  std::vector<TermId> term_set;
-  exec::BuildQueryPlan(terms, df, k, now, filter, max_pop, bound_mode,
-                       config_.use_bound, /*prune_if_equal=*/false,
-                       term_set, plan);
-  return plan;
+  exec::BuildQueryPlan(terms, df, k, now, filter, max_pop, config_.bound_mode,
+                       config_.use_bound, /*prune_if_equal=*/false, term_set,
+                       plan);
 }
 
 void RtsiIndex::RunSequential(const exec::QueryPlan& plan,
@@ -438,173 +506,33 @@ void RtsiIndex::RunSequential(const exec::QueryPlan& plan,
 std::vector<ScoredStream> RtsiIndex::ExecutePlan(const exec::QueryPlan& plan,
                                                  exec::ResultSink& sink,
                                                  QueryStats* stats) {
+  ScratchLease lease(scratch_pool_);
+  return Execute(plan, sink, *lease, stats);
+}
+
+std::vector<ScoredStream> RtsiIndex::Execute(const exec::QueryPlan& plan,
+                                             exec::ResultSink& sink,
+                                             QueryScratch& scratch,
+                                             QueryStats* stats) {
+  // Diagnostics accumulate in a local and are published once on exit, so
+  // the per-candidate increments never write through the caller's pointer.
   QueryStats qs;
   if (!plan.empty()) {
-    ScratchLease lease(scratch_pool_);
-    RunSequential(plan, sink, *lease, qs);
-    cum_visited_.fetch_add(qs.components_visited, std::memory_order_relaxed);
-    cum_pruned_.fetch_add(qs.components_pruned, std::memory_order_relaxed);
-    cum_skipped_.fetch_add(qs.components_skipped, std::memory_order_relaxed);
-    cum_bloom_fp_.fetch_add(qs.bloom_false_positives,
-                            std::memory_order_relaxed);
-    cum_screened_.fetch_add(qs.candidates_screened,
-                            std::memory_order_relaxed);
+    RunSequential(plan, sink, scratch, qs);
+    FoldLifetimeCounters(qs);
   }
   if (stats != nullptr) *stats = qs;
   return sink.SortedResults();
 }
 
-std::vector<ScoredStream> RtsiIndex::QueryImpl(
-    const std::vector<TermId>& terms, int k, Timestamp now,
-    const QueryFilter& filter, QueryStats* stats,
-    QueryExplanation* explain) {
-  // Diagnostics accumulate in a local and are published once on exit, so
-  // the per-candidate increments never write through the caller's pointer.
-  QueryStats qs;
-
-  ScratchLease lease(scratch_pool_);
-  QueryScratch& scratch = *lease;
-
-  // Sharded deployments score with the corpus-global statistics (see
-  // BuildPlan); the plan captures them once so every operator and every
-  // executor worker prunes and scores against the same values.
-  const DocumentFrequencyTable& df =
-      shared_scoring_ != nullptr ? shared_scoring_->df : df_;
-  const std::uint64_t max_pop =
-      shared_scoring_ != nullptr
-          ? std::max(shared_scoring_->max_pop.load(std::memory_order_relaxed),
-                     streams_.max_pop_count())
-          : streams_.max_pop_count();
-  // The parallel executor handles every query when query_threads >= 1,
-  // except explanations, which keep the sequential walk's deterministic
-  // per-component bookkeeping. Results are bit-identical either way:
-  // scores are order-independent, the sinks break ties totally, and
-  // pruning only ever drops candidates strictly below the k-th score.
-  const bool use_executor = config_.query_threads > 0 && explain == nullptr;
-  const BoundMode bound_mode = config_.query_threads > 0
-                                   ? BoundMode::kGlobalPop
-                                   : config_.bound_mode;
-
-  exec::QueryPlan& plan = scratch.plan;
-  exec::BuildQueryPlan(terms, df, k, now, filter, max_pop, bound_mode,
-                       config_.use_bound, /*prune_if_equal=*/false,
-                       scratch.term_set, plan);
-  if (explain != nullptr) {
-    explain->terms = plan.terms;
-    explain->k = k;
-    explain->now = now;
-  }
-  if (plan.empty()) {
-    if (stats != nullptr) *stats = qs;
-    return {};
-  }
-  if (explain != nullptr) explain->idfs = plan.idfs;
-
-  exec::TopKSink heap_sink(k);
-  exec::SharedTopKSink shared_sink(k);
-  exec::ResultSink& sink =
-      use_executor ? static_cast<exec::ResultSink&>(shared_sink)
-                   : static_cast<exec::ResultSink&>(heap_sink);
-
-  std::unordered_map<StreamId, ScoreBreakdown> breakdowns;
-
-  if (!use_executor && explain == nullptr) {
-    RunSequential(plan, sink, scratch, qs);
-  } else if (explain != nullptr) {
-    // Sequential explain walk: the same phases and operators, with the
-    // recorder policies capturing per-candidate breakdowns and the
-    // selector/driver filling per-component bookkeeping.
-    std::unordered_set<StreamId> scored;
-    ExplainRecorder recorder(plan, scorer_, streams_, sink, qs, breakdowns);
-    exec::RunLiveTablePhase(plan, scorer_, live_terms_, scratch, scored,
-                            recorder);
-    explain->live_table_candidates = scored.size();
-    explain->l0_candidates =
-        exec::RunL0Phase(plan, scorer_, tree_, scratch, scored, recorder, qs);
-    const lsm::IndexViewPtr view = tree_.PinView();
-    exec::SelectorOptions options;
-    options.consult_headers = config_.use_skip_header;
-    options.fallback_ceiling = streams_.max_frsh();
-    const std::vector<exec::SelectedComponent> selected =
-        exec::SelectComponents(
-            plan, scorer_, view->components, options,
-            {scratch.per_term, scratch.screen_own, scratch.screen_tfidf},
-            qs, explain);
-    ExplainSealedPolicy policy(plan, scorer_, scratch,
-                               streams_.max_stream_id(), scored, recorder);
-    exec::RunSealedSequential(plan, scorer_, selected, policy, sink, qs,
-                              explain);
-  } else {
-    // Parallel executor: the exact phases run on the querying thread, then
-    // workers claim stream-sliced work units off an atomic cursor (so the
-    // best bounds are traversed first), publish their k-th score through
-    // the shared sink, and prune cooperatively against it.
-    std::unordered_set<StreamId> scored;
-    exec::ExactScorer exact(plan, scorer_, streams_, sink, qs);
-    exec::RunLiveTablePhase(plan, scorer_, live_terms_, scratch, scored,
-                            exact);
-    exec::RunL0Phase(plan, scorer_, tree_, scratch, scored, exact, qs);
-    const lsm::IndexViewPtr view = tree_.PinView();
-    exec::SelectorOptions options;
-    options.consult_headers = config_.use_skip_header;
-    options.fallback_ceiling = streams_.max_frsh();
-    const std::vector<exec::SelectedComponent> selected =
-        exec::SelectComponents(
-            plan, scorer_, view->components, options,
-            {scratch.per_term, scratch.screen_own, scratch.screen_tfidf},
-            qs, nullptr);
-    const bool screen_base = plan.use_bound && options.consult_headers;
-    if (!selected.empty()) {
-      const std::vector<exec::WorkUnit> units = exec::MakeWorkUnits(
-          selected, static_cast<std::size_t>(config_.query_threads));
-      std::atomic<std::size_t> next_unit{0};
-      const StreamId max_stream = streams_.max_stream_id();
-      const auto run_worker = [&](QueryScratch& ws, QueryStats& wqs) {
-        exec::SealedScorer policy(plan, scorer_, streams_, scored,
-                                  scratch.screen_tfidf, screen_base, ws,
-                                  max_stream, sink);
-        exec::RunSealedWorker(plan, scorer_, selected, units, next_unit,
-                              sink, policy, wqs);
-      };
-      const std::size_t degree = std::min<std::size_t>(
-          static_cast<std::size_t>(config_.query_threads), units.size());
-      std::vector<QueryStats> worker_stats(
-          std::max<std::size_t>(degree, 1));
-      if (degree > 1 && query_pool_ != nullptr) {
-        TaskGroup group(query_pool_.get());
-        for (std::size_t w = 1; w < degree; ++w) {
-          group.Submit([&, w] {
-            ScratchLease worker_lease(scratch_pool_);
-            run_worker(*worker_lease, worker_stats[w]);
-          });
-        }
-        run_worker(scratch, worker_stats[0]);
-        group.Wait();
-      } else {
-        run_worker(scratch, worker_stats[0]);
-      }
-      for (const QueryStats& ws : worker_stats) exec::FoldStats(qs, ws);
-    }
-  }
-
-  std::vector<ScoredStream> results = sink.SortedResults();
-  if (explain != nullptr) {
-    explain->results.reserve(results.size());
-    for (const auto& r : results) {
-      auto it = breakdowns.find(r.stream);
-      if (it != breakdowns.end()) explain->results.push_back(it->second);
-    }
-  }
-  // Lifetime counters for rtsi_cli stats (relaxed: statistics only).
+void RtsiIndex::FoldLifetimeCounters(const QueryStats& qs) {
+  // Relaxed: statistics only (rtsi_cli stats).
   cum_visited_.fetch_add(qs.components_visited, std::memory_order_relaxed);
   cum_pruned_.fetch_add(qs.components_pruned, std::memory_order_relaxed);
   cum_skipped_.fetch_add(qs.components_skipped, std::memory_order_relaxed);
   cum_bloom_fp_.fetch_add(qs.bloom_false_positives,
                           std::memory_order_relaxed);
-  cum_screened_.fetch_add(qs.candidates_screened,
-                          std::memory_order_relaxed);
-  if (stats != nullptr) *stats = qs;
-  return results;
+  cum_screened_.fetch_add(qs.candidates_screened, std::memory_order_relaxed);
 }
 
 std::size_t RtsiIndex::MemoryBytes() const {

@@ -22,10 +22,14 @@
 // (One documented transient exception: a stream finished while its level-0
 // postings are being merged can momentarily evade the table; its score is
 // still computed exactly, only the pruning bound may be optimistic.)
+// Evictions land only after the merge that consolidated the stream
+// published its view (DESIGN.md §6e); a stream that receives windows
+// after its eviction gets its sealed totals re-seeded into the table.
 
 #ifndef RTSI_CORE_RTSI_INDEX_H_
 #define RTSI_CORE_RTSI_INDEX_H_
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -82,14 +86,6 @@ class RtsiIndex : public SearchIndex {
   /// synchronous mode). Benches call this to sequence phases.
   void WaitForMerges();
 
-  /// Changes the query parallelism degree (see RtsiConfig::query_threads),
-  /// growing or shrinking the worker pool to match (shrinking drains
-  /// in-flight tasks, joins the excess workers, and releases the now-spare
-  /// scratch buffers). NOT safe concurrently with queries; meant for
-  /// benches that sweep thread counts on one built index instead of
-  /// rebuilding it per setting.
-  void SetQueryThreads(int query_threads);
-
   /// Toggles upper-bound pruning (RtsiConfig::use_bound). With pruning off
   /// every sealed component is walked to exhaustion; tests compare that
   /// full walk against the pruned walk to certify bound soundness. NOT
@@ -128,6 +124,13 @@ class RtsiIndex : public SearchIndex {
   /// with running merges (set it before inserting past delta).
   void SetCascadeObserver(std::function<void()> observer);
 
+  /// Installs an observer invoked once per merge after the output is
+  /// built and before the swap publishes it (no tree locks held; the
+  /// published view still serves the merge inputs). Tests use it to run
+  /// queries inside a merge's publication window. Pass nullptr to clear.
+  /// Same contract as SetCascadeObserver.
+  void SetPreSwapObserver(std::function<void()> observer);
+
   // SearchIndex:
   void InsertWindow(StreamId stream, Timestamp now,
                     const std::vector<TermCount>& terms, bool live) override;
@@ -161,10 +164,9 @@ class RtsiIndex : public SearchIndex {
                             Timestamp now,
                             const QueryFilter& filter = QueryFilter{}) const;
 
-  /// Runs a prepared plan through the sequential pipeline into a
-  /// caller-supplied sink (the standing-query seam; Query/QueryFiltered
-  /// are this with a TopKSink, plus the parallel executor when
-  /// configured). The sink keeps its prior contents — re-executions can
+  /// Runs a prepared plan through the pipeline into a caller-supplied
+  /// sink (the standing-query seam; Query/QueryFiltered are this with a
+  /// TopKSink). The sink keeps its prior contents — re-executions can
   /// accumulate — and the returned vector is its current rank order.
   std::vector<ScoredStream> ExecutePlan(const exec::QueryPlan& plan,
                                         exec::ResultSink& sink,
@@ -225,17 +227,37 @@ class RtsiIndex : public SearchIndex {
   /// (queued by FinishStream while their postings were still in L0).
   void DrainPendingFinished();
 
-  /// Shared implementation behind Query / QueryFiltered / ExplainQuery.
-  std::vector<ScoredStream> QueryImpl(const std::vector<TermId>& terms,
-                                      int k, Timestamp now,
-                                      const QueryFilter& filter,
-                                      QueryStats* stats,
-                                      QueryExplanation* explain);
+  /// Re-adds an evicted stream's sealed totals to the live-term table
+  /// before it receives another window (caller holds the stream's lock).
+  void SeedLiveTotals(StreamId stream);
 
-  /// The sequential fast-path pipeline (phases 1-3) into `sink`; the
-  /// common body of ExecutePlan and the non-executor Query path.
+  /// The lock that serializes one stream's inserts with its live-table
+  /// evictions. An eviction decides from the stream's component count and
+  /// liveness; an insert landing between that decision and the removal
+  /// would lose its window's totals while its postings span two
+  /// components. Striped: streams share 64 mutexes.
+  std::mutex& StreamMutex(StreamId stream) {
+    return stream_mu_[stream % stream_mu_.size()];
+  }
+
+  /// BuildPlan into caller-owned storage (the leased scratch's plan and
+  /// term set on the query path, so steady state allocates nothing).
+  void BuildPlanInto(const std::vector<TermId>& terms, int k, Timestamp now,
+                     const QueryFilter& filter, std::vector<TermId>& term_set,
+                     exec::QueryPlan& plan) const;
+
+  /// The body of Query/QueryFiltered/ExecutePlan: runs `plan` into `sink`
+  /// on the calling thread and folds the lifetime counters.
+  std::vector<ScoredStream> Execute(const exec::QueryPlan& plan,
+                                    exec::ResultSink& sink,
+                                    QueryScratch& scratch, QueryStats* stats);
+
+  /// Phases 1-3 of the pipeline (live table, L0, sealed walk) into `sink`.
   void RunSequential(const exec::QueryPlan& plan, exec::ResultSink& sink,
                      QueryScratch& scratch, QueryStats& qs);
+
+  /// Adds one query's skip-planner counters to the lifetime totals.
+  void FoldLifetimeCounters(const QueryStats& qs);
 
   RtsiConfig config_;
   Scorer scorer_;
@@ -245,10 +267,13 @@ class RtsiIndex : public SearchIndex {
   DocumentFrequencyTable df_;
   // Shard-global scoring aggregate (null outside sharded deployments).
   std::shared_ptr<SharedScoringState> shared_scoring_;
+  std::array<std::mutex, 64> stream_mu_;
   std::mutex pending_mu_;
   std::unordered_set<StreamId> pending_finished_;
   // Test seam: forwarded into MergeHooks::on_cascade_step at each merge.
   std::function<void()> cascade_observer_;
+  // Test seam: forwarded into MergeHooks::on_pre_swap at each merge.
+  std::function<void()> pre_swap_observer_;
   std::atomic<bool> merge_scheduled_{false};
   // Lifetime skip-planner counters (relaxed: statistics only).
   std::atomic<std::uint64_t> cum_visited_{0};
@@ -256,16 +281,12 @@ class RtsiIndex : public SearchIndex {
   std::atomic<std::uint64_t> cum_skipped_{0};
   std::atomic<std::uint64_t> cum_bloom_fp_{0};
   std::atomic<std::uint64_t> cum_screened_{0};
-  // Recycled query buffers; queries lease one scratch per executing
-  // thread so the scoring hot path never allocates in steady state.
+  // Recycled query buffers; each query leases one scratch so the scoring
+  // hot path never allocates in steady state.
   mutable ScratchPool scratch_pool_;
-  // Declared last: destroyed first, draining queued merges / in-flight
-  // query tasks while the members above are still alive.
+  // Declared last: destroyed first, draining queued merges while the
+  // members above are still alive.
   std::unique_ptr<ThreadPool> merge_executor_;
-  // Workers for the parallel query executor (query_threads - 1 threads;
-  // the querying thread itself is the remaining worker). Null when
-  // query_threads <= 1. Shared by all concurrent queries of this index.
-  std::unique_ptr<ThreadPool> query_pool_;
 };
 
 }  // namespace rtsi::core

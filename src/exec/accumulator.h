@@ -2,10 +2,9 @@
 //
 // ComputeScore() is the pure Equation-1 fold (pop/rel/frsh from the
 // stream table + a ready tf-idf sum); SealedScorer is the fast-path
-// candidate policy for sealed components, shared verbatim by the
-// sequential walk and every parallel-executor worker — admission screen,
-// then the discovering-term-first ("ti-first") tf-idf accumulation that
-// keeps fast, explain, and parallel totals bit-identical.
+// candidate policy for sealed components — admission screen, then the
+// discovering-term-first ("ti-first") tf-idf accumulation that keeps
+// fast and explain totals bit-identical.
 //
 // Everything here is header-only so the per-posting work stays
 // monomorphic; only the per-candidate sink calls are virtual.

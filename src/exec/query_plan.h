@@ -19,9 +19,9 @@
 
 namespace rtsi::exec {
 
-/// One query's resolved inputs, shared verbatim by every operator and by
-/// every worker of the parallel executor (capture-once semantics: all
-/// workers prune and score against the same max_pop / bound mode).
+/// One query's resolved inputs, shared verbatim by every operator
+/// (capture-once semantics: every phase prunes and scores against the
+/// same max_pop / bound mode).
 struct QueryPlan {
   std::vector<TermId> terms;   // Deduplicated, first-seen order.
   std::vector<double> idfs;    // Parallel to `terms`.

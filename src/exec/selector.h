@@ -27,7 +27,7 @@ namespace rtsi::exec {
 
 /// One component that survived selection, with everything the traversal
 /// drivers need. Bound and ceiling are captured at selection time (same
-/// capture-once semantics as max_pop, so all executor workers agree).
+/// capture-once semantics as max_pop).
 struct SelectedComponent {
   const index::InvertedIndex* component = nullptr;
   double bound = 0.0;
@@ -57,9 +57,9 @@ struct SelectorOptions {
   /// LSII baseline keeps them and only drops proven term-free components,
   /// preserving its historical walk order.
   bool require_positive_bound = true;
-  /// Break bound ties by snapshot position (deterministic total order —
-  /// required for the executor's bit-identity). LSII keeps its original
-  /// unstable bound-only sort.
+  /// Break bound ties by snapshot position (deterministic total order, so
+  /// QueryStats are a pure function of the index and the query). LSII
+  /// keeps its original unstable bound-only sort.
   bool order_tie_break = true;
   /// Per-query-term tf headroom for multi-component streams, parallel to
   /// the plan's terms; null = 0 per term (the consolidation invariant).

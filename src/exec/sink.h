@@ -1,10 +1,10 @@
 // ResultSink: the pluggable tail of the query-execution pipeline.
 //
 // Every query path accumulates candidates through this interface —
-// sequential queries into a TopKSink, the parallel executor into a
-// SharedTopKSink, shard scatter-gather folds per-shard partials through a
-// TopKSink, and future standing queries can implement a push sink without
-// touching the traversal.
+// queries into a TopKSink, explanations through a recorder in front of
+// one, shard scatter-gather folds per-shard partials through a TopKSink,
+// and future standing queries can implement a push sink without touching
+// the traversal.
 //
 // Sink contract (what the pruning soundness arguments rely on):
 //  * Offer() keeps the best score per stream under the deterministic
@@ -16,8 +16,8 @@
 //    candidate dropped strictly below it can never have entered the final
 //    top-k, whatever the traversal order.
 //  * SortedResults() returns rank order under the same total order.
-//  * SharedTopKSink's Offer()/Threshold() are thread-safe; TopKSink's are
-//    not (single-consumer paths only).
+//  * A sink is fed by one thread (the query's); implementations need no
+//    locking.
 
 #ifndef RTSI_EXEC_SINK_H_
 #define RTSI_EXEC_SINK_H_
@@ -63,25 +63,7 @@ class TopKSink : public ResultSink {
   core::TopKHeap heap_;
 };
 
-/// Thread-safe sink for the parallel executor: mutex-guarded heap with a
-/// lock-free published threshold workers read for cooperative pruning.
-class SharedTopKSink : public ResultSink {
- public:
-  explicit SharedTopKSink(int k) : shared_(k) {}
-
-  void Offer(StreamId stream, double score) override {
-    shared_.Offer(stream, score);
-  }
-  double Threshold() const override { return shared_.ThresholdScore(); }
-  std::vector<core::ScoredStream> SortedResults() const override {
-    return shared_.SortedResults();
-  }
-
- private:
-  core::SharedTopK shared_;
-};
-
-/// Folds one worker's / one shard's QueryStats into `total`.
+/// Folds one shard's QueryStats into `total`.
 void FoldStats(core::QueryStats& total, const core::QueryStats& part);
 
 /// Scatter-gather merge: offers every per-shard partial top-k to one

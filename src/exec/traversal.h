@@ -1,7 +1,7 @@
 // The Traversal operator of the query-execution pipeline: component
 // upper bounds (the sc-top of Algorithm 3) and the threshold-algorithm
 // walk of a sealed component's three sorted inverted lists. Shared by
-// every query path (RTSI sequential/parallel/explain and the
+// every query path (RTSI fast/explain and the
 // extended-LSII baseline); moved here from core/query_util.
 
 #ifndef RTSI_EXEC_TRAVERSAL_H_

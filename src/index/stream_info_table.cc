@@ -64,57 +64,51 @@ void StreamInfoTable::AddSealedResidency(StreamId stream,
   entries.push_back({component, cell});
 }
 
-std::pair<std::uint32_t, bool> StreamInfoTable::MergeResidency(
-    StreamId stream, std::uint32_t copies, ComponentId to,
-    const FreshnessCeilingPtr& to_cell) {
+void StreamInfoTable::MergeResidency(StreamId stream, ComponentId to,
+                                     const FreshnessCeilingPtr& to_cell) {
+  if (to_cell == nullptr || to == kInvalidComponentId) return;
   Shard& shard = ShardFor(stream);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(stream);
+  // A deleted stream is never scored again; MarkDeleted erased its
+  // residency and re-registering here would leak an orphan entry.
+  if (it == shard.map.end() || it->second.deleted) return;
+  to_cell->Bump(it->second.frsh);
+  std::vector<Residency>& entries = shard.residency[stream];
+  for (const Residency& r : entries) {
+    if (r.component == to) return;
+  }
+  entries.push_back({to, to_cell});
+}
+
+std::pair<std::uint32_t, bool> StreamInfoTable::DropResidency(
+    StreamId stream, std::uint32_t copies,
+    const std::vector<ComponentId>& from) {
+  Shard& shard = ShardFor(stream);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto res = shard.residency.find(stream);
+  if (res != shard.residency.end()) {
+    std::vector<Residency>& entries = res->second;
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      const bool retired =
+          std::find(from.begin(), from.end(), entries[i].component) !=
+          from.end();
+      if (retired) continue;  // Retired merge input.
+      if (n != i) entries[n] = std::move(entries[i]);
+      ++n;
+    }
+    entries.resize(n);
+    if (entries.empty()) shard.residency.erase(res);
+  }
+  auto it = shard.map.find(stream);
   if (it == shard.map.end()) return {0, false};
   StreamInfo& info = it->second;
-  // `copies` residencies became one in the merge output.
+  // `copies` residencies became one in the (now published) merge output.
   for (std::uint32_t c = 1; c < copies && info.component_count > 0; ++c) {
     --info.component_count;
   }
-  // A deleted stream is never scored again; MarkDeleted erased its
-  // residency and re-registering here would leak an orphan entry (later
-  // merges purge its postings without calling the hook again).
-  if (info.deleted) return {info.component_count, false};
-
-  // Register the (unpublished) merge output so inserts from here on bump
-  // its ceiling cell too. The input residencies stay: the inputs remain
-  // query-visible until the component swap, so they must keep receiving
-  // bumps — DropResidency retires them once the swap is done.
-  if (to != kInvalidComponentId && to_cell != nullptr) {
-    to_cell->Bump(info.frsh);
-    std::vector<Residency>& entries = shard.residency[stream];
-    bool have_to = false;
-    for (const Residency& r : entries) {
-      have_to = have_to || r.component == to;
-    }
-    if (!have_to) entries.push_back({to, to_cell});
-  }
   return {info.component_count, info.live};
-}
-
-void StreamInfoTable::DropResidency(StreamId stream,
-                                    const std::vector<ComponentId>& from) {
-  Shard& shard = ShardFor(stream);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.residency.find(stream);
-  if (it == shard.residency.end()) return;
-  std::vector<Residency>& entries = it->second;
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const bool retired =
-        std::find(from.begin(), from.end(), entries[i].component) !=
-        from.end();
-    if (retired) continue;  // Retired merge input.
-    if (n != i) entries[n] = std::move(entries[i]);
-    ++n;
-  }
-  entries.resize(n);
-  if (entries.empty()) shard.residency.erase(it);
 }
 
 std::vector<ComponentId> StreamInfoTable::GetResidency(

@@ -68,30 +68,31 @@ class StreamInfoTable {
   void AddSealedResidency(StreamId stream, ComponentId component,
                           const FreshnessCeilingPtr& cell);
 
-  /// Pre-publication merge bookkeeping, all under one shard lock:
-  /// registers the merge output `to` (bumping its cell to the stream's
-  /// live freshness) and debits the component count by `copies - 1` —
-  /// the N-way merge consolidated `copies` of the stream's residencies
-  /// into one. The input residencies are deliberately NOT dropped here:
-  /// the inputs stay query-visible (in the published IndexView, and in
-  /// any older views still pinned) until the output is swapped in, and
-  /// they must keep receiving ceiling bumps for that whole window or a
-  /// query pinning such a view could prune with a ceiling below the
-  /// stream's live freshness. DropResidency removes them after the swap.
-  /// Deleted streams get the count update but no registration (their
-  /// residency was erased by MarkDeleted; re-adding it would leak, since
-  /// later merges purge their postings without another hook call).
-  /// Returns the new count and whether the stream is still live
-  /// (live-table eviction decision).
-  std::pair<std::uint32_t, bool> MergeResidency(
-      StreamId stream, std::uint32_t copies, ComponentId to,
-      const FreshnessCeilingPtr& to_cell);
+  /// Pre-publication merge bookkeeping: registers the merge output `to`
+  /// (bumping its cell to the stream's live freshness) so inserts from
+  /// here on bump it too. Nothing else changes yet: the inputs stay
+  /// query-visible (in the published IndexView, and in any older views
+  /// still pinned) until the output is swapped in, so their residencies
+  /// must keep receiving ceiling bumps — or a query pinning such a view
+  /// could prune with a ceiling below the stream's live freshness — and
+  /// the component count must keep counting them. DropResidency does both
+  /// updates after the swap. No-op for deleted streams (their residency
+  /// was erased by MarkDeleted; re-adding it would leak, since later
+  /// merges purge their postings without another hook call) and for
+  /// unknown streams.
+  void MergeResidency(StreamId stream, ComponentId to,
+                      const FreshnessCeilingPtr& to_cell);
 
-  /// Post-publication merge bookkeeping: drops the stream's residency
-  /// entries for the retired merge inputs `from`, now no longer
-  /// query-visible. Inputs the stream never resided in are skipped.
-  /// No-op for unknown streams or absent entries.
-  void DropResidency(StreamId stream, const std::vector<ComponentId>& from);
+  /// Post-publication merge bookkeeping, under one shard lock: drops the
+  /// stream's residency entries for the retired merge inputs `from`, now
+  /// no longer query-visible (inputs the stream never resided in are
+  /// skipped), and debits the component count by `copies - 1` — the
+  /// merge consolidated `copies` of the stream's residencies into one.
+  /// Returns the new count and whether the stream is still live
+  /// (live-table eviction decision); {0, false} for unknown streams.
+  std::pair<std::uint32_t, bool> DropResidency(
+      StreamId stream, std::uint32_t copies,
+      const std::vector<ComponentId>& from);
 
   /// Component ids the stream currently resides in (test introspection).
   std::vector<ComponentId> GetResidency(StreamId stream) const;

@@ -262,12 +262,13 @@ void LsmTree::MergeCascade(const MergeHooks& hooks) {
     std::vector<const InvertedIndex*> raw_inputs;
     raw_inputs.reserve(step.inputs.size());
     for (const auto& input : step.inputs) raw_inputs.push_back(input.get());
-    std::vector<StreamId> surviving;
+    std::vector<MergedStream> surviving;
     const std::shared_ptr<InvertedIndex> merged = CombineComponents(
         raw_inputs, step.out_level, config_.compress, hooks, &stats,
         AllocateComponentId(), std::make_shared<index::FreshnessCeiling>(),
         hooks.on_retired ? &surviving : nullptr, scratch.get());
     merged->AttachSkipHeaderGauge(mem_tracker_);
+    if (hooks.on_pre_swap) hooks.on_pre_swap();
 
     {
       // One swap: inputs out, output in. Readers see either the old view
@@ -288,8 +289,8 @@ void LsmTree::MergeCascade(const MergeHooks& hooks) {
       for (const auto& input : step.inputs) {
         from.push_back(input->component_id());
       }
-      for (const StreamId stream : surviving) {
-        hooks.on_retired(stream, from);
+      for (const MergedStream& merged_stream : surviving) {
+        hooks.on_retired(merged_stream.stream, merged_stream.copies, from);
       }
     }
     if (hooks.on_cascade_step) hooks.on_cascade_step();

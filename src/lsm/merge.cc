@@ -74,7 +74,7 @@ std::shared_ptr<InvertedIndex> CombineComponents(
     const std::vector<const InvertedIndex*>& inputs, int out_level,
     bool compress, const MergeHooks& hooks, MergeStats* stats,
     ComponentId out_id, index::FreshnessCeilingPtr out_cell,
-    std::vector<StreamId>* surviving, WindowArena* scratch) {
+    std::vector<MergedStream>* surviving, WindowArena* scratch) {
   Stopwatch watch;
   auto merged = std::make_shared<InvertedIndex>(out_level);
   merged->AdoptCeiling(out_id, std::move(out_cell));
@@ -153,21 +153,20 @@ std::shared_ptr<InvertedIndex> CombineComponents(
     });
   }
 
-  // Stream-level bookkeeping for the owner (component counts, residency
-  // registration on `merged`, live table). Each surviving stream's
-  // residency gains the output's ceiling cell here, *before* the output
-  // inherits the inputs' ceilings below and before the swap publishes it.
-  // The input residencies are NOT dropped yet — the inputs stay
-  // query-visible (published view, plus any older pinned views) until the
-  // swap, and an insert in that window must keep bumping their cells or a
-  // query holding such a view would prune with a ceiling below the
-  // stream's live freshness.
-  // The owner retires them via `on_retired` after the swap, using the
-  // `surviving` list collected here.
+  // Pre-publication stream bookkeeping for the owner: each surviving
+  // stream's residency gains the output's ceiling cell here, *before* the
+  // output inherits the inputs' ceilings below and before the swap
+  // publishes it. The input residencies are NOT dropped yet — the inputs
+  // stay query-visible (published view, plus any older pinned views)
+  // until the swap, and an insert in that window must keep bumping their
+  // cells or a query holding such a view would prune with a ceiling below
+  // the stream's live freshness. The owner retires them — and counts the
+  // consolidated copies as one — via `on_retired` after the swap, using
+  // the `surviving` list collected here.
   if (track_streams) {
     const auto survive = [&](StreamId stream, std::uint32_t copies) {
       hooks.on_stream(stream, copies, *merged);
-      if (surviving != nullptr) surviving->push_back(stream);
+      if (surviving != nullptr) surviving->push_back({stream, copies});
     };
     // Each stream is reported once, from the first input holding it; the
     // later sets only contribute to its copy count.
@@ -209,7 +208,7 @@ std::shared_ptr<InvertedIndex> CombineComponents(
     const InvertedIndex& a, const InvertedIndex* b, int out_level,
     bool compress, const MergeHooks& hooks, MergeStats* stats,
     ComponentId out_id, index::FreshnessCeilingPtr out_cell,
-    std::vector<StreamId>* surviving, WindowArena* scratch) {
+    std::vector<MergedStream>* surviving, WindowArena* scratch) {
   std::vector<const InvertedIndex*> inputs;
   inputs.push_back(&a);
   if (b != nullptr) inputs.push_back(b);

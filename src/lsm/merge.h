@@ -34,11 +34,10 @@ struct MergeHooks {
   /// Called once per distinct surviving stream seen during the merge,
   /// after all postings are combined and before the output is published.
   /// `copies` is the number of merge inputs holding postings of the
-  /// stream (>= 1): the merge consolidated `copies` residencies into one,
-  /// so the stream's component count drops by `copies - 1`. `merged` is
-  /// the output component (already carrying its id and live-freshness
-  /// ceiling cell), so the owner can transfer the stream's component
-  /// residency while pinned views keep serving queries against the
+  /// stream (>= 1): the merge consolidates `copies` residencies into one.
+  /// `merged` is the output component (already carrying its id and
+  /// live-freshness ceiling cell), so the owner can register the stream's
+  /// residency on it while pinned views keep serving queries against the
   /// inputs. Leave unset to skip stream tracking entirely (the tracking
   /// itself costs one hash-set insert per posting).
   std::function<void(StreamId stream, std::uint32_t copies,
@@ -47,13 +46,16 @@ struct MergeHooks {
 
   /// Called by the owning LSM-tree once per distinct surviving stream
   /// *after* the merge output replaced its inputs in the published view
-  /// (the inputs are no longer query-visible): the owner drops the
-  /// stream's residency entries for the retired input components `from`.
-  /// Until this fires the input residencies must stay registered, so
-  /// inserts keep bumping the inputs' live-freshness ceilings and queries
-  /// still pinning a pre-swap view prune soundly for the whole merge
-  /// window.
-  std::function<void(StreamId stream, const std::vector<ComponentId>& from)>
+  /// (the inputs are no longer query-visible), with the same `copies` as
+  /// on_stream: the owner drops the stream's residency entries for the
+  /// retired input components `from`, and only now may it count the
+  /// `copies` residencies as one. Until this fires the published view
+  /// still holds every input, so the input residencies must stay
+  /// registered (inserts keep bumping the inputs' live-freshness
+  /// ceilings) and anything describing the stream's spread — its
+  /// component count, its live-table totals — must stay as it was.
+  std::function<void(StreamId stream, std::uint32_t copies,
+                     const std::vector<ComponentId>& from)>
       on_retired;
 
   /// Called inside an L0 freeze — after the frozen component is sealed
@@ -62,12 +64,26 @@ struct MergeHooks {
   /// registers component residency for every stream in the frozen data.
   std::function<void(const index::InvertedIndex& frozen)> on_frozen;
 
+  /// Called by MergeCascade after each merge output is built (every
+  /// on_stream call done) and before the swap publishes it, with no tree
+  /// locks held: the published view still serves the inputs. Test seam
+  /// for pausing a merge inside its publication window; leave unset in
+  /// production ingest paths.
+  std::function<void()> on_pre_swap;
+
   /// Called by MergeCascade after every published structural step — the
   /// L0 freeze and each merge swap — with no tree locks held. The tree
   /// is fully consistent and snapshot-safe at each invocation: this is
   /// the seam checkpoint-during-compaction and the mid-cascade snapshot
   /// tests hang off. Leave unset in production ingest paths.
   std::function<void()> on_cascade_step;
+};
+
+/// A stream that survived a merge, with the number of merge inputs that
+/// held its postings (the `copies` of MergeHooks::on_stream).
+struct MergedStream {
+  StreamId stream;
+  std::uint32_t copies;
 };
 
 struct MergeStats {
@@ -101,7 +117,8 @@ struct MergeStats {
 /// may omit them — the output then has no ceiling cell and queries fall
 /// back to the global freshness maximum. When `surviving` is non-null
 /// and stream tracking is on, it receives every distinct surviving
-/// stream, so the caller can run the post-publication `on_retired` pass.
+/// stream with its copy count, so the caller can run the
+/// post-publication `on_retired` pass.
 /// `scratch` (optional) backs the merge's transient state — per-term
 /// consolidation maps, ordering buffers, unsealed output vectors, stream
 /// sets — so the allocation churn recycles through the arena's free
@@ -114,7 +131,7 @@ std::shared_ptr<index::InvertedIndex> CombineComponents(
     bool compress, const MergeHooks& hooks, MergeStats* stats,
     ComponentId out_id = kInvalidComponentId,
     index::FreshnessCeilingPtr out_cell = nullptr,
-    std::vector<StreamId>* surviving = nullptr,
+    std::vector<MergedStream>* surviving = nullptr,
     WindowArena* scratch = nullptr);
 
 /// Two-way convenience wrapper (the historical signature; `b` may be
@@ -124,7 +141,7 @@ std::shared_ptr<index::InvertedIndex> CombineComponents(
     int out_level, bool compress, const MergeHooks& hooks,
     MergeStats* stats, ComponentId out_id = kInvalidComponentId,
     index::FreshnessCeilingPtr out_cell = nullptr,
-    std::vector<StreamId>* surviving = nullptr,
+    std::vector<MergedStream>* surviving = nullptr,
     WindowArena* scratch = nullptr);
 
 }  // namespace rtsi::lsm

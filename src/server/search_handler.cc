@@ -1,6 +1,7 @@
 #include "server/search_handler.h"
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "core/rtsi_index.h"
@@ -32,9 +33,18 @@ std::vector<std::string> SplitWords(const std::string& s) {
   return words;
 }
 
+// Scores print with max_digits10 significant digits, so a client parsing
+// the body gets back exactly the doubles the service computed (the
+// stream default of 6 digits rounds them).
+std::ostringstream ScoreStream() {
+  std::ostringstream out;
+  out.precision(std::numeric_limits<double>::max_digits10);
+  return out;
+}
+
 std::string ResultsToJson(
     const std::vector<service::SearchResult>& results) {
-  std::ostringstream out;
+  std::ostringstream out = ScoreStream();
   out << "{\"results\":[";
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (i > 0) out << ',';
@@ -177,7 +187,7 @@ void RegisterSearchRoutes(HttpServerBase& http,
     const auto pinned = service.PinIndices();
     const auto results = pinned->text->QueryFiltered(
         processed.text_terms, k, clock.Now(), filter);
-    std::ostringstream out;
+    std::ostringstream out = ScoreStream();
     out << "{\"live_results\":[";
     for (std::size_t i = 0; i < results.size(); ++i) {
       if (i > 0) out << ',';

@@ -14,7 +14,6 @@
 
 #include "common/atomic_shared_ptr.h"
 #include "common/clock.h"
-#include "common/thread_pool.h"
 #include "core/config.h"
 #include "core/rtsi_index.h"
 #include "service/ingestion.h"
@@ -33,9 +32,6 @@ struct SearchServiceConfig {
   /// Partitions each modality across this many independent shards
   /// (DESIGN.md §6i). 1 = the classic single-index layout.
   int shards = 1;
-  /// Pool workers for the scatter phase of sharded queries (0 = scatter
-  /// on the calling thread; right for small machines and shards == 1).
-  int scatter_threads = 0;
   /// Per-shard compaction-policy overrides, applied to both modality
   /// trees: entry i overrides shard i's LSM policy; shards beyond the
   /// vector (and all shards when it is empty) keep `index.lsm.policy`.
@@ -94,9 +90,8 @@ class SearchService {
   void DeleteStream(StreamId stream);
   void UpdatePopularity(StreamId stream, std::uint64_t delta);
 
-  /// Keyword search across both modalities, fused. When the index is
-  /// configured with query_threads > 0, the text and sound trees are
-  /// searched concurrently (cross-modality fan-out).
+  /// Keyword search across both modalities, fused. Both trees are
+  /// searched on the calling thread.
   std::vector<SearchResult> SearchKeywords(const std::string& query, int k);
 
   /// Voice search: the query is an audio buffer.
@@ -160,8 +155,8 @@ class SearchService {
       const std::vector<core::ScoredStream>& text_results,
       const std::vector<core::ScoredStream>& sound_results, int k) const;
 
-  /// Runs the two single-modality queries (concurrently when the modality
-  /// pool exists) against the pinned pair and fuses.
+  /// Runs the two single-modality queries against the pinned pair and
+  /// fuses.
   std::vector<SearchResult> SearchBothModalities(
       const IndexPair& indices, const std::vector<TermId>& text_terms,
       const std::vector<TermId>& sound_terms, int fetch, int k);
@@ -177,10 +172,6 @@ class SearchService {
   // query path.
   AtomicSharedPtr<const IndexPair> indices_;
   std::atomic<int> restores_in_flight_{0};
-  // Cross-modality fan-out workers (one task per query; the calling
-  // thread runs the text tree while the pool runs the sound tree). Null
-  // when query_threads == 0 so the default stays fully sequential.
-  std::unique_ptr<ThreadPool> modality_pool_;
   // The service RNG feeds ASR simulation for ingestion, query processing
   // and synthesis; entry points can run concurrently, so draws are
   // serialized by rng_mu_ (single-threaded call sequences are unaffected,

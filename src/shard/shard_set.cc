@@ -28,14 +28,6 @@ std::string ShardDir(const std::string& root, int s) {
   return root + "/shard-" + std::to_string(s);
 }
 
-void MakeScatterPool(const ShardSetConfig& config,
-                     std::unique_ptr<ThreadPool>& pool) {
-  if (config.scatter_threads > 0 && config.num_shards > 1) {
-    pool = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(config.scatter_threads));
-  }
-}
-
 }  // namespace
 
 IndexShardSet::IndexShardSet(const ShardSetConfig& config)
@@ -52,7 +44,6 @@ IndexShardSet::IndexShardSet(const ShardSetConfig& config)
     index->BindSharedScoring(shared_scoring_);
   }
   ApplyShardPolicies();
-  MakeScatterPool(config_, scatter_pool_);
 }
 
 IndexShardSet::IndexShardSet(
@@ -68,7 +59,6 @@ IndexShardSet::IndexShardSet(
   }
   RefreshSharedScoring();
   ApplyShardPolicies();
-  MakeScatterPool(config_, scatter_pool_);
 }
 
 Result<std::unique_ptr<IndexShardSet>> IndexShardSet::Open(
@@ -104,7 +94,6 @@ Result<std::unique_ptr<IndexShardSet>> IndexShardSet::Open(
   }
   set->RefreshSharedScoring();
   set->ApplyShardPolicies();
-  MakeScatterPool(set->config_, set->scatter_pool_);
   return set;
 }
 
@@ -199,26 +188,12 @@ std::vector<core::ScoredStream> IndexShardSet::QueryFiltered(
   if (n == 1) {
     return raw_[0]->QueryFiltered(terms, k, now, filter, stats);
   }
+  // Every shard pins its own IndexView wait-free on entry.
   std::vector<std::vector<core::ScoredStream>> partials(n);
   std::vector<core::QueryStats> partial_stats(n);
-  if (scatter_pool_ != nullptr) {
-    // Fan out: pool workers take shards [1, n), the gathering thread runs
-    // shard 0. Every shard pins its own IndexView wait-free on entry.
-    TaskGroup group(scatter_pool_.get());
-    for (int s = 1; s < n; ++s) {
-      group.Submit([&, s] {
-        partials[s] =
-            raw_[s]->QueryFiltered(terms, k, now, filter, &partial_stats[s]);
-      });
-    }
-    partials[0] =
-        raw_[0]->QueryFiltered(terms, k, now, filter, &partial_stats[0]);
-    group.Wait();
-  } else {
-    for (int s = 0; s < n; ++s) {
-      partials[s] =
-          raw_[s]->QueryFiltered(terms, k, now, filter, &partial_stats[s]);
-    }
+  for (int s = 0; s < n; ++s) {
+    partials[s] =
+        raw_[s]->QueryFiltered(terms, k, now, filter, &partial_stats[s]);
   }
   if (stats != nullptr) {
     core::QueryStats total;

@@ -7,9 +7,9 @@
 // cascade on one shard never stalls ingest or queries on another, and a
 // disk failure degrades exactly one partition.
 //
-// Queries scatter-gather: the set fans the query out (each shard pins its
-// own epoch-published IndexView wait-free and runs the PR 1 executor at
-// its configured query_threads), then merges the per-shard top-k with the
+// Queries scatter-gather: the set runs the query on every shard in turn,
+// on the calling thread (each shard pins its own epoch-published
+// IndexView wait-free), then merges the per-shard top-k with the
 // deterministic total order of core::TopKHeap. Results are bit-identical
 // to a single unsharded index holding the same streams:
 //   * every stream lives in exactly one shard, so the global top-k is a
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/config.h"
 #include "core/rtsi_index.h"
 #include "storage/journal.h"
@@ -54,10 +53,6 @@ struct ShardSetConfig {
   /// under this root (created if missing).
   std::string durable_dir;
   storage::JournalOptions journal;
-  /// Fan the scatter phase out over this many pool workers (the calling
-  /// thread gathers). 0 = scatter sequentially on the caller — the right
-  /// default on small machines; per-shard query_threads still applies.
-  int scatter_threads = 0;
   /// Per-shard compaction-policy overrides: entry i applies to shard i.
   /// Shards beyond the vector's length (and all shards when it is empty)
   /// keep `index.lsm.policy`. Lets a deployment run, say, leveled
@@ -206,7 +201,6 @@ class IndexShardSet : public core::SearchIndex {
   std::vector<core::SearchIndex*> shards_;
   std::vector<core::RtsiIndex*> raw_;
   std::shared_ptr<core::SharedScoringState> shared_scoring_;
-  std::unique_ptr<ThreadPool> scatter_pool_;
   // Stream ids retired by FinishStream/DeleteStream (populated only when
   // num_shards > 1): the insert-time reuse guard. Reader-heavy — every
   // checked insert takes the shared lock, retirements the exclusive one.

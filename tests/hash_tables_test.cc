@@ -69,13 +69,17 @@ TEST(StreamInfoTableTest, ComponentCountLifecycle) {
   table.IncrementComponentCount(1);
   table.IncrementComponentCount(1);
   EXPECT_EQ(table.GetComponentCount(1), 2u);
-  // A merge consolidating two residencies (copies=2) decrements the count.
+  // A merge consolidating two residencies (copies=2): registering the
+  // unpublished output leaves the count alone; retiring the inputs after
+  // the swap decrements it.
   auto cell = std::make_shared<FreshnessCeiling>();
-  auto [count, live] = table.MergeResidency(1, /*copies=*/2, 12, cell);
+  table.MergeResidency(1, 12, cell);
+  EXPECT_EQ(table.GetComponentCount(1), 2u);
+  auto [count, live] = table.DropResidency(1, /*copies=*/2, {10, 11});
   EXPECT_EQ(count, 1u);
   EXPECT_TRUE(live);
   table.MarkFinished(1);
-  auto [count2, live2] = table.MergeResidency(1, /*copies=*/2, 14, cell);
+  auto [count2, live2] = table.DropResidency(1, /*copies=*/2, {12, 13});
   EXPECT_EQ(count2, 0u);
   EXPECT_FALSE(live2);
 }
@@ -83,10 +87,11 @@ TEST(StreamInfoTableTest, ComponentCountLifecycle) {
 TEST(StreamInfoTableTest, MergeResidencyOnUnknownStreamIsSafe) {
   StreamInfoTable table;
   auto cell = std::make_shared<FreshnessCeiling>();
-  auto [count, live] = table.MergeResidency(42, /*copies=*/2, 3, cell);
+  table.MergeResidency(42, 3, cell);
+  EXPECT_TRUE(table.GetResidency(42).empty());
+  auto [count, live] = table.DropResidency(42, /*copies=*/2, {1, 2});
   EXPECT_EQ(count, 0u);
   EXPECT_FALSE(live);
-  EXPECT_TRUE(table.GetResidency(42).empty());
 }
 
 TEST(StreamInfoTableTest, LateWindowCannotResurrectFinishedStream) {
@@ -137,7 +142,7 @@ TEST(StreamInfoTableTest, MergeKeepsInputCeilingsLiveUntilRetired) {
   // inputs stay. Registration bumps the output's cell with the live
   // freshness.
   auto cell_merged = std::make_shared<FreshnessCeiling>();
-  table.MergeResidency(1, /*copies=*/2, 12, cell_merged);
+  table.MergeResidency(1, 12, cell_merged);
   EXPECT_EQ(cell_merged->Get(), 100);
   EXPECT_EQ(table.GetResidency(1),
             (std::vector<ComponentId>{10, 11, 12}));
@@ -152,7 +157,7 @@ TEST(StreamInfoTableTest, MergeKeepsInputCeilingsLiveUntilRetired) {
 
   // Swap published the output: the inputs are retired and later inserts
   // reach only the output's cell.
-  table.DropResidency(1, {10, 11});
+  table.DropResidency(1, /*copies=*/2, {10, 11});
   EXPECT_EQ(table.GetResidency(1), std::vector<ComponentId>{12});
   table.OnInsert(1, 400, true);
   EXPECT_EQ(cell_merged->Get(), 400);
@@ -174,11 +179,11 @@ TEST(StreamInfoTableTest, MergeResidencySkipsDeletedStream) {
   // reports the stream; re-registering it would leak an orphan entry
   // (later merges purge its postings without another hook call).
   auto cell_merged = std::make_shared<FreshnessCeiling>();
-  auto [count, live] = table.MergeResidency(1, /*copies=*/2, 12,
-                                            cell_merged);
+  table.MergeResidency(1, 12, cell_merged);
+  EXPECT_TRUE(table.GetResidency(1).empty());
+  auto [count, live] = table.DropResidency(1, /*copies=*/2, {10, 11});
   EXPECT_EQ(count, 1u);  // Count bookkeeping still applies.
   EXPECT_FALSE(live);
-  EXPECT_TRUE(table.GetResidency(1).empty());
 
   // Same for freeze-time registration of a stream deleted beforehand.
   table.AddSealedResidency(1, 13, cell_merged);

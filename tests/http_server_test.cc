@@ -10,6 +10,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdlib>
+#include <cstring>
+
 #include "common/clock.h"
 #include "server/search_handler.h"
 #include "service/search_service.h"
@@ -194,6 +197,33 @@ TEST_P(SearchRoutesTest, SearchReturnsMatchingStream) {
       Get(port(), "/search?q=quantum+physics");
   EXPECT_NE(response.find("\"stream\":1"), std::string::npos);
   EXPECT_EQ(response.find("\"stream\":2"), std::string::npos);
+}
+
+// The body carries every score at full precision: parsing it gives back
+// exactly the doubles the service returned, not a 6-digit rounding.
+TEST_P(SearchRoutesTest, SearchScoresRoundTripExactly) {
+  service_.IngestWindow(3, {"quantum", "computing", "physics", "physics"});
+  service_.IngestWindow(4, {"quantum", "chemistry"});
+  clock_.Advance(kMicrosPerMinute);
+  const auto want = service_.SearchKeywords("quantum physics", 10);
+  ASSERT_GE(want.size(), 2u);
+  const std::string body = Get(port(), "/search?q=quantum+physics");
+  std::size_t pos = body.find("{\"results\":[");
+  ASSERT_NE(pos, std::string::npos) << body;
+  const auto field = [&](const char* key) {
+    pos = body.find(key, pos);
+    if (pos == std::string::npos) return -1.0;
+    pos += std::strlen(key);
+    return std::strtod(body.c_str() + pos, nullptr);
+  };
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(field("\"stream\":"), static_cast<double>(want[i].stream)) << i;
+    EXPECT_EQ(field("\"score\":"), want[i].score) << i;
+    EXPECT_EQ(field("\"text_score\":"), want[i].text_score) << i;
+    EXPECT_EQ(field("\"sound_score\":"), want[i].sound_score) << i;
+  }
+  EXPECT_EQ(body.find("\"stream\":", pos), std::string::npos)
+      << "more results served than SearchKeywords returned";
 }
 
 TEST_P(SearchRoutesTest, SearchWithoutQueryIs400) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -237,12 +238,14 @@ TEST(MergeTest, SurvivingStreamsReportedForRetirePass) {
   MergeHooks hooks;
   hooks.is_deleted = [](StreamId s) { return s == 12; };
   hooks.on_stream = [](StreamId, std::uint32_t, const InvertedIndex&) {};
-  std::vector<StreamId> surviving;
+  std::vector<MergedStream> surviving;
   CombineComponents(a, &b, 2, false, hooks, nullptr, 3,
                     std::make_shared<index::FreshnessCeiling>(), &surviving);
   // Purged streams are not reported: there is nothing to retire for them.
-  EXPECT_EQ(std::set<StreamId>(surviving.begin(), surviving.end()),
-            (std::set<StreamId>{10, 11}));
+  // Each survivor carries its copy count for the post-swap debit.
+  std::map<StreamId, std::uint32_t> copies;
+  for (const MergedStream& m : surviving) copies[m.stream] = m.copies;
+  EXPECT_EQ(copies, (std::map<StreamId, std::uint32_t>{{10, 1}, {11, 2}}));
 }
 
 // The review-critical window: an insert that lands after the merge
@@ -267,15 +270,14 @@ TEST(MergeTest, InsertDuringMergeWindowKeepsInputCeilingsSound) {
 
   MergeHooks hooks;
   hooks.is_deleted = [&](StreamId s) { return table.IsDeleted(s); };
-  hooks.on_stream = [&](StreamId s, std::uint32_t copies,
+  hooks.on_stream = [&](StreamId s, std::uint32_t,
                         const InvertedIndex& merged) {
-    table.MergeResidency(s, copies, merged.component_id(),
-                         merged.ceiling_cell());
+    table.MergeResidency(s, merged.component_id(), merged.ceiling_cell());
     // Simulate the racing insert inside the merge window, while the
     // inputs are still query-visible.
     table.OnInsert(s, 900, true);
   };
-  std::vector<StreamId> surviving;
+  std::vector<MergedStream> surviving;
   const auto merged = CombineComponents(
       a, &b, 2, false, hooks, nullptr, 3,
       std::make_shared<index::FreshnessCeiling>(), &surviving);
@@ -286,8 +288,9 @@ TEST(MergeTest, InsertDuringMergeWindowKeepsInputCeilingsSound) {
   EXPECT_EQ(merged->LiveFrshCeiling(), 900);
 
   // Post-swap retire pass, as LsmTree runs it.
-  for (const StreamId s : surviving) {
-    table.DropResidency(s, {a.component_id(), b.component_id()});
+  for (const MergedStream& m : surviving) {
+    table.DropResidency(m.stream, m.copies,
+                        {a.component_id(), b.component_id()});
   }
   EXPECT_EQ(table.GetResidency(10), std::vector<ComponentId>{3});
 }

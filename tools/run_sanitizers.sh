@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Sanitizer gate for the concurrency-critical surface: builds and runs
 # the suite under ASan and/or TSan. ASan catches the lifetime bugs a
-# worker-pool shrink or a view swap could introduce (use-after-free of a
-# drained scratch, a component freed while a pinned view still walks it,
-# a transferred ceiling cell); TSan catches the publication races the
-# epoch/pin protocol must exclude.
+# view swap could introduce (a component freed while a pinned view still
+# walks it, a transferred ceiling cell); TSan catches the publication
+# races the epoch/pin protocol must exclude.
 #
 # Usage: tools/run_sanitizers.sh [asan|tsan|all] [build-dir-prefix]
 #   asan  — full test suite under AddressSanitizer (heap misuse can hide
@@ -24,7 +23,7 @@ PREFIX="${2:-$REPO_ROOT/build}"
 TSAN_TARGETS=(
   thread_pool_test
   async_merge_test
-  parallel_query_test
+  merge_window_test
   lsm_tree_test
   crash_recovery_test
   checkpoint_atomicity_test
