@@ -7,7 +7,7 @@
 // more runs means more components for the Bloom/summary screen to
 // dismiss).
 //
-// Correctness audit: for every policy, the optimized pass (kGlobalPop
+// Correctness audit: for every policy, the optimized pass (bound
 // pruning + skip headers) is checksum-compared against an exhaustive
 // full walk of the SAME index — pruning and skipping are lossless, so
 // any divergence is a merge or planner bug and the bench exits nonzero.
@@ -103,8 +103,6 @@ PolicyRun RunPolicy(rtsi::lsm::MergePolicy policy, const char* label,
   using namespace rtsi;
   auto config = bench::DefaultIndexConfig();
   config.lsm.policy = policy;
-  // Sound, layout-blind pruning for the audited pass.
-  config.bound_mode = core::BoundMode::kGlobalPop;
   core::RtsiIndex index(config);
   SimulatedClock clock;
 

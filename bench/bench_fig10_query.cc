@@ -5,7 +5,10 @@
 // screen) and with them off (the PR-5 walk). The two passes must produce
 // bit-identical per-query results — skipping is a pure traversal
 // optimization — so each query's result checksum is audited against the
-// no-skip pass, and the folded checksums are emitted per row. A
+// no-skip pass, and the folded checksums are emitted per row. A third,
+// unmeasured pass runs the full walk (SetUseBound(false)): the pruned
+// answers must equal it query for query (the "diverged" count), which is
+// what makes the committed checksums the right answers. A
 // compaction-policy column rides along: the same workload against a
 // size-tiered index (several resident runs per level) shows what the
 // extra runs cost the read path with the headers doing the skipping.
@@ -30,19 +33,6 @@ namespace {
 
 std::uint64_t Mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  return h;
-}
-
-std::uint64_t ResultChecksum(
-    const std::vector<rtsi::core::ScoredStream>& results) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const auto& r : results) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(r.score));
-    std::memcpy(&bits, &r.score, sizeof(bits));
-    h = Mix(h, r.stream);
-    h = Mix(h, bits);
-  }
   return h;
 }
 
@@ -74,7 +64,7 @@ Pass MeasureRtsi(rtsi::core::RtsiIndex& index,
     watch.Restart();
     const auto results = index.Query(q, k, now, &qs);
     lat.Record(watch.ElapsedMicros());
-    const std::uint64_t qsum = ResultChecksum(results);
+    const std::uint64_t qsum = bench::ResultChecksum(results);
     pass.per_query.push_back(qsum);
     pass.checksum = Mix(pass.checksum, qsum);
     pass.stats.components_visited += qs.components_visited;
@@ -104,16 +94,16 @@ int main() {
   workload::ReportTable table(
       "Figure 10: query cost vs #queries (" + std::to_string(init_streams) +
           " streams, k=10; skip = Bloom+summary headers; pre = committed "
-          "pre-pipeline baseline)",
+          "baseline; diverged = pruned vs full walk)",
       {"mix/#queries", "RTSI skip", "pre", "drift", "RTSI noskip", "gain",
-       "tiered", "LSII mean", "skipped/visited", "screened", "match"});
+       "tiered", "LSII mean", "skipped/visited", "screened", "match",
+       "diverged"});
 
-  // Before/after the exec:: pipeline refactor: the committed baseline
-  // (bench/baselines/) was recorded just before the unified pipeline
-  // landed. Comparable only when this run's scale and corpus match the
-  // recording; then the per-row checksums must be identical (the
-  // refactor is required to be bit-preserving — a mismatch is fatal) and
-  // the sealed-phase mean must hold within the 5% no-regression budget.
+  // The committed baseline (bench/baselines/README.md). Comparable only
+  // when this run's scale and corpus match the recording; then the
+  // per-row checksums must be identical (query-path changes are required
+  // to be bit-preserving — a mismatch is fatal) and the sealed-phase mean
+  // must hold within the 5% no-regression budget.
   const bench::BaselineReport baseline =
       bench::LoadBaseline("BENCH_fig10_query.json");
   const bool baseline_comparable =
@@ -158,6 +148,7 @@ int main() {
   constexpr Mix kMixes[] = {{"in_vocab", 1.0}, {"oov", 2.0}};
 
   bool all_match = true;
+  std::size_t total_diverged = 0;  // Pruned vs full-walk answers.
   bool baseline_checksums_match = true;
   double baseline_total_us = 0.0;  // Summed over rows the baseline covers.
   double current_total_us = 0.0;
@@ -175,8 +166,18 @@ int main() {
     const Pass skip_off =
         MeasureRtsi(rtsi_index, query_config, n, k, clock_a.Now());
     rtsi_index.SetUseSkipHeader(true);
+    rtsi_index.SetUseBound(false);
+    const Pass full_walk =
+        MeasureRtsi(rtsi_index, query_config, n, k, clock_a.Now());
+    rtsi_index.SetUseBound(true);
     const Pass tiered =
         MeasureRtsi(tiered_index, query_config, n, k, clock_c.Now());
+
+    std::size_t diverged = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (skip_on.per_query[i] != full_walk.per_query[i]) ++diverged;
+    }
+    total_diverged += diverged;
 
     // Bit-identity audit: pinpoint the first diverging query.
     bool match = skip_on.per_query.size() == skip_off.per_query.size();
@@ -205,7 +206,7 @@ int main() {
     std::snprintf(checksum_hex, sizeof(checksum_hex), "%016llx",
                   static_cast<unsigned long long>(skip_on.checksum));
 
-    // The pre-pipeline column: this (mix, queries) row in the baseline.
+    // The "pre" column: this (mix, queries) row in the baseline.
     const std::map<std::string, std::string>* base_row = nullptr;
     if (baseline_comparable) {
       for (const auto& row : baseline.rows) {
@@ -229,7 +230,7 @@ int main() {
           bench::BaselineReport::Str(*base_row, "checksum");
       if (!base_checksum.empty() && base_checksum != checksum_hex) {
         std::fprintf(stderr,
-                     "DIVERGENCE vs pre-pipeline baseline mix=%s "
+                     "DIVERGENCE vs committed baseline mix=%s "
                      "queries=%zu (baseline=%s current=%s)\n",
                      mix.name, n, base_checksum.c_str(), checksum_hex);
         baseline_checksums_match = false;
@@ -250,7 +251,8 @@ int main() {
          std::to_string(skip_on.stats.components_skipped) + "/" +
              std::to_string(skip_on.stats.components_visited),
          std::to_string(skip_on.stats.candidates_screened),
-         match ? "ok" : "MISMATCH"});
+         match ? "ok" : "MISMATCH",
+         std::to_string(diverged) + "/" + std::to_string(n)});
 
     auto& row = report.AddRow();
     row.Field("mix", mix.name)
@@ -278,7 +280,8 @@ int main() {
         .Field("candidates_scored",
                static_cast<double>(skip_on.stats.candidates_scored))
         .Field("checksum", checksum_hex)
-        .Field("results_match", match ? "yes" : "NO");
+        .Field("results_match", match ? "yes" : "NO")
+        .Field("diverged_vs_full_walk", static_cast<double>(diverged));
     if (base_row != nullptr) {
       row.Field("baseline_mean_us_skip", base_mean)
           .Field("baseline_drift", drift);
@@ -286,21 +289,21 @@ int main() {
   }
   table.Print();
 
-  // Before/after-pipeline summary and the no-regression gate, over the
-  // rows the committed baseline covers (see bench/baselines/README.md).
+  // Baseline summary and the no-regression gate, over the rows the
+  // committed baseline covers (see bench/baselines/README.md).
   if (baseline_comparable && baseline_total_us > 0.0) {
     const double regression = current_total_us / baseline_total_us - 1.0;
     report.Field("baseline_total_us_skip", baseline_total_us);
     report.Field("total_us_skip_vs_baseline", regression);
     std::printf(
-        "pipeline before/after: pre=%.0fus post=%.0fus (%+.1f%%), "
+        "vs committed baseline: pre=%.0fus post=%.0fus (%+.1f%%), "
         "checksums %s\n",
         baseline_total_us, current_total_us, regression * 100.0,
         baseline_checksums_match ? "identical" : "DIVERGED");
     if (regression > 0.05) {
       std::fprintf(stderr,
                    "%s: sealed-phase query time regressed %.1f%% vs the "
-                   "pre-pipeline baseline (budget 5%%)\n",
+                   "committed baseline (budget 5%%)\n",
                    bench::LatencyGateEnforced() ? "error" : "warning",
                    regression * 100.0);
       if (bench::LatencyGateEnforced()) {
@@ -314,10 +317,16 @@ int main() {
     std::fprintf(stderr, "error: skip on/off results diverged\n");
     return 1;
   }
+  if (total_diverged > 0) {
+    std::fprintf(stderr,
+                 "error: %zu bound-pruned answers differ from the full walk\n",
+                 total_diverged);
+    return 1;
+  }
   if (!baseline_checksums_match) {
     std::fprintf(stderr,
-                 "error: results diverged from the committed pre-pipeline "
-                 "baseline (bench/baselines/BENCH_fig10_query.json)\n");
+                 "error: results diverged from the committed baseline "
+                 "(bench/baselines/BENCH_fig10_query.json)\n");
     return 1;
   }
   return 0;

@@ -10,18 +10,28 @@
 #define RTSI_BENCH_BENCH_UTIL_H_
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baseline/lsii_index.h"
 #include "core/rtsi_index.h"
 #include "workload/corpus.h"
 #include "workload/query_gen.h"
+
+#ifndef RTSI_BUILD_TYPE
+#define RTSI_BUILD_TYPE "unknown"
+#endif
+#ifndef RTSI_GIT_COMMIT
+#define RTSI_GIT_COMMIT "unknown"
+#endif
 
 namespace rtsi::bench {
 
@@ -81,15 +91,40 @@ inline workload::QueryGenConfig DefaultQueryConfig(std::size_t vocab_size) {
   return config;
 }
 
+/// Order-sensitive hash of a top-k answer (stream ids and the exact score
+/// bits): equal checksums mean bit-identical answers.
+inline std::uint64_t ResultChecksum(
+    const std::vector<core::ScoredStream>& results) {
+  auto mix = [](std::uint64_t h, std::uint64_t v) {
+    return h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
+  };
+  std::uint64_t h = 1469598103934665603ull;
+  for (const auto& r : results) {
+    std::uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(r.score));
+    std::memcpy(&bits, &r.score, sizeof(bits));
+    h = mix(h, r.stream);
+    h = mix(h, bits);
+  }
+  return h;
+}
+
 /// Minimal machine-readable output for benches that track a perf
 /// trajectory across PRs: a flat JSON object of scalar fields plus one
 /// "rows" array of flat objects. Field order is preserved. Every bench
 /// emitting JSON writes BENCH_<name>.json through this writer so the
 /// files share one schema: {"bench": ..., <meta fields>, "rows": [...]}.
+///
+/// Every report records the host it ran on: `cpus` (hardware threads),
+/// `build_type` and `commit` (`git describe` of the source tree when CMake
+/// last configured the build), so a figure is never read without them.
 class JsonReport {
  public:
   explicit JsonReport(const std::string& bench_name) {
     Field("bench", bench_name);
+    Field("cpus", static_cast<double>(std::thread::hardware_concurrency()));
+    Field("build_type", RTSI_BUILD_TYPE);
+    Field("commit", RTSI_GIT_COMMIT);
   }
 
   JsonReport& Field(const std::string& key, const std::string& value) {

@@ -80,9 +80,8 @@ std::vector<ScoredStream> LsiiIndex::Query(const std::vector<TermId>& terms,
   exec::QueryPlan plan;
   std::vector<TermId> term_set;
   exec::BuildQueryPlan(terms, df_, k, now, core::QueryFilter{},
-                       big_.max_pop_count(), config_.bound_mode,
-                       config_.use_bound, /*prune_if_equal=*/true, term_set,
-                       plan);
+                       big_.max_pop_count(), config_.use_bound,
+                       /*prune_if_equal=*/true, term_set, plan);
   if (plan.empty()) return {};
   const std::vector<TermId>& q = plan.terms;
   const std::size_t nq = plan.num_terms();

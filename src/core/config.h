@@ -18,25 +18,10 @@ struct ScoreWeights {
   double frsh = 0.2;
 };
 
-/// How the popularity part of the pruning bound is computed.
-enum class BoundMode {
-  /// Per-term popularity/freshness snapshots from the inverted lists (the
-  /// paper's design). Not sound in general: a stream is scored with its
-  /// live popularity and freshness, while a sealed posting keeps the
-  /// values from its insertion. A popularity update, or simply a later
-  /// window of the same stream (every multi-window broadcast raises its
-  /// freshness), makes the snapshot under-estimate the component's bound,
-  /// and early termination can then drop a true top-k stream that the
-  /// full walk returns. Exact only for write-once streams. kGlobalPop is
-  /// the sound mode; the full-walk oracles and the end-to-end benchmark
-  /// use it. (Still the default: changing it changes the fig10
-  /// checksums.)
-  kSnapshot,
-  /// Global ceilings — the maximum popularity counter and the maximum
-  /// live freshness: looser but always sound, even under post-seal
-  /// updates — pruning can then never change the result set.
-  kGlobalPop,
-};
+/// Compile shim for callers that still name the one pruning bound; the
+/// index reads neither this enum nor RtsiConfig::bound_mode. Both go when
+/// the end-to-end benchmark (e2ebench/) stops assigning the field.
+enum class BoundMode { kGlobalPop };
 
 struct RtsiConfig {
   /// LSM knobs: delta, rho, Huffman compression, and the compaction
@@ -50,8 +35,15 @@ struct RtsiConfig {
   lsm::LsmTree::Config lsm;
   ScoreWeights weights;
   double freshness_tau_seconds = 6.0 * 3600.0;  // Exponential decay scale.
-  bool use_bound = true;             // Top-k early termination (Figure 17).
-  BoundMode bound_mode = BoundMode::kSnapshot;
+  /// Top-k early termination (Algorithm 3, Figure 17). The bound over a
+  /// sealed component uses the global maximum popularity counter and the
+  /// component's live-freshness ceiling in place of the popularity and
+  /// freshness stored in its postings: a stream is scored with its *live*
+  /// values, which a /pop update or any later window of the stream raise
+  /// past the sealed snapshot. Both ceilings dominate every live value,
+  /// so pruning never changes the result set (DESIGN.md §4).
+  bool use_bound = true;
+  BoundMode bound_mode = BoundMode::kGlobalPop;  // Unread; see BoundMode.
 
   /// Consult the sealed components' skip headers during query planning:
   /// the per-component term Bloom filter proves query terms absent
@@ -61,9 +53,9 @@ struct RtsiConfig {
   /// top-k threshold before full scoring. Screening drops a candidate
   /// only when a sound upper bound of its score (live popularity, live
   /// freshness, summary-bounded relevance) is strictly below the k-th
-  /// score, so results are bit-identical with the flag on or off in every
-  /// bound mode (see DESIGN.md §6f). Headers are always built; this only
-  /// toggles consulting them (off = the PR 5 walk, kept for A/B benches).
+  /// score, so results are bit-identical with the flag on or off (see
+  /// DESIGN.md §6f). Headers are always built; this only toggles
+  /// consulting them (off = the header-less walk, kept for A/B benches).
   bool use_skip_header = true;
 
   /// Back the live ingest structures (unsealed L0 posting vectors, the

@@ -366,8 +366,8 @@ void RtsiIndex::DeleteStream(StreamId stream) {
 
 void RtsiIndex::UpdatePopularity(StreamId stream, std::uint64_t delta) {
   // The RTSI update path touches only the small per-stream table; the
-  // popularity snapshots inside sealed lists stay as-is (the bound mode
-  // decides how to stay conservative).
+  // popularity snapshots inside sealed lists stay as-is (the pruning
+  // bound never reads them: it uses the global maximum counter).
   const std::uint64_t count = streams_.AddPopularity(stream, delta);
   if (shared_scoring_ != nullptr) shared_scoring_->BumpMaxPop(count);
 }
@@ -467,9 +467,8 @@ void RtsiIndex::BuildPlanInto(const std::vector<TermId>& terms, int k,
           ? std::max(shared_scoring_->max_pop.load(std::memory_order_relaxed),
                      streams_.max_pop_count())
           : streams_.max_pop_count();
-  exec::BuildQueryPlan(terms, df, k, now, filter, max_pop, config_.bound_mode,
-                       config_.use_bound, /*prune_if_equal=*/false, term_set,
-                       plan);
+  exec::BuildQueryPlan(terms, df, k, now, filter, max_pop, config_.use_bound,
+                       /*prune_if_equal=*/false, term_set, plan);
 }
 
 void RtsiIndex::RunSequential(const exec::QueryPlan& plan,

@@ -168,11 +168,11 @@ void RunSealedSequential(const QueryPlan& plan, const core::Scorer& scorer,
       if (plan.use_bound) {
         const double threshold = sink.Threshold();
         // A -infinity threshold (sink not yet full) can never cut; skip
-        // the exp()-heavy Threshold() computation entirely.
+        // the Threshold() computation entirely.
         if (std::isfinite(threshold)) {
           const double tau =
-              traversal.Threshold(scorer, plan.idfs, plan.now, plan.max_pop,
-                                  comps[c].frsh_ceiling, plan.bound_mode);
+              traversal.Threshold(scorer, plan.idfs, comps[c].pop_score,
+                                  comps[c].frsh_score);
           if (Prunes(threshold, tau, plan.prune_if_equal)) {
             qs.terminated_early = true;
             if (explain != nullptr) {

@@ -7,8 +7,8 @@ namespace rtsi::exec {
 void BuildQueryPlan(const std::vector<TermId>& terms,
                     const core::DocumentFrequencyTable& df, int k,
                     Timestamp now, const core::QueryFilter& filter,
-                    std::uint64_t max_pop, core::BoundMode bound_mode,
-                    bool use_bound, bool prune_if_equal,
+                    std::uint64_t max_pop, bool use_bound,
+                    bool prune_if_equal,
                     std::vector<TermId>& term_set, QueryPlan& plan) {
   std::vector<TermId>& q = plan.terms;
   q.clear();
@@ -27,7 +27,6 @@ void BuildQueryPlan(const std::vector<TermId>& terms,
   plan.k = k;
   plan.now = now;
   plan.max_pop = max_pop;
-  plan.bound_mode = bound_mode;
   plan.use_bound = use_bound;
   plan.prune_if_equal = prune_if_equal;
 }

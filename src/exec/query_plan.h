@@ -1,6 +1,6 @@
 // QueryPlan: everything Algorithm 3 resolves once per query before any
 // posting is touched — the deduplicated term list, per-term idfs, the
-// result filter, the popularity normalizer, and the pruning regime. The
+// result filter, the popularity normalizer, and the pruning switches. The
 // plan is immutable during execution and carries no buffers, so it can be
 // re-entered: a standing query builds its plan once and re-executes it
 // against later index states (the ROADMAP's continuous-query seam), and
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "core/config.h"
 #include "core/doc_freq.h"
 #include "core/search_index.h"
 
@@ -21,7 +20,7 @@ namespace rtsi::exec {
 
 /// One query's resolved inputs, shared verbatim by every operator
 /// (capture-once semantics: every phase prunes and scores against the
-/// same max_pop / bound mode).
+/// same max_pop).
 struct QueryPlan {
   std::vector<TermId> terms;   // Deduplicated, first-seen order.
   std::vector<double> idfs;    // Parallel to `terms`.
@@ -29,7 +28,6 @@ struct QueryPlan {
   int k = 0;
   Timestamp now = 0;
   std::uint64_t max_pop = 0;
-  core::BoundMode bound_mode = core::BoundMode::kSnapshot;
   bool use_bound = true;
   /// Pruning comparison against a bound: RTSI prunes strictly-below only
   /// (a dropped candidate can never re-enter via the stream-id tie-break,
@@ -51,8 +49,8 @@ struct QueryPlan {
 void BuildQueryPlan(const std::vector<TermId>& terms,
                     const core::DocumentFrequencyTable& df, int k,
                     Timestamp now, const core::QueryFilter& filter,
-                    std::uint64_t max_pop, core::BoundMode bound_mode,
-                    bool use_bound, bool prune_if_equal,
+                    std::uint64_t max_pop, bool use_bound,
+                    bool prune_if_equal,
                     std::vector<TermId>& term_set, QueryPlan& plan);
 
 }  // namespace rtsi::exec

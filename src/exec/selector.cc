@@ -22,6 +22,7 @@ std::vector<SelectedComponent> SelectComponents(
   std::vector<double>& screen_own = scratch.screen_own;
   std::vector<PerTermBound>& per_term = scratch.per_term;
 
+  const double pop_score = scorer.PopScore(plan.max_pop, plan.max_pop);
   std::vector<SelectedComponent> selected;
   selected.reserve(components.size());
   for (std::size_t ci = 0; ci < components.size(); ++ci) {
@@ -40,8 +41,7 @@ std::vector<SelectedComponent> SelectComponents(
           ++qs.bloom_false_positives;  // Cost: one binary search. Sound.
           continue;
         }
-        per_term[i].bounds =
-            index::TermBounds{s->max_pop, s->max_frsh, s->max_tf, true};
+        per_term[i].bounds = index::TermBounds{s->max_tf, true};
         any_present = true;
       }
     } else {
@@ -62,9 +62,9 @@ std::vector<SelectedComponent> SelectComponents(
         options.use_component_ceiling && component->has_ceiling()
             ? component->LiveFrshCeiling()
             : options.fallback_ceiling;
-    const double bound = ComponentBound(scorer, per_term, plan.now,
-                                        plan.max_pop, frsh_ceiling,
-                                        plan.bound_mode);
+    const double frsh_score = scorer.FrshScore(frsh_ceiling, plan.now);
+    const double bound =
+        ComponentBound(scorer, per_term, pop_score, frsh_score);
     std::size_t slot = 0;
     if (explain != nullptr) {
       core::ComponentExplanation ce;
@@ -114,8 +114,8 @@ std::vector<SelectedComponent> SelectComponents(
       }
       rel_total = scorer.RelScore(sum_own, num_terms);
     }
-    selected.push_back({component.get(), bound, frsh_ceiling, rel_total, ci,
-                        slot, header != nullptr});
+    selected.push_back({component.get(), bound, pop_score, frsh_score,
+                        rel_total, ci, slot, header != nullptr});
   }
   if (options.order_tie_break) {
     std::sort(selected.begin(), selected.end(),

@@ -2,12 +2,12 @@
 //
 // For each sealed component it resolves per-term bounds (through the skip
 // header's Bloom filter + summaries when consulted, else the posting-map
-// Bounds()), computes the sc-top upper bound of Algorithm 3, drops
-// components proven term-free or bound-free, precomputes the admission
-// screen's relevance ceilings, and returns the survivors sorted best
-// bound first. Summary bounds are >= the posting-map bounds by
-// construction, so switching lookups never tightens a bound — pruning
-// stays lossless.
+// Bounds()), scores the component's popularity and freshness ceilings
+// once, computes the sc-top upper bound of Algorithm 3, drops components
+// proven term-free or bound-free, precomputes the admission screen's
+// relevance ceilings, and returns the survivors sorted best bound first.
+// Summary bounds are >= the posting-map bounds by construction, so
+// switching lookups never tightens a bound — pruning stays lossless.
 
 #ifndef RTSI_EXEC_SELECTOR_H_
 #define RTSI_EXEC_SELECTOR_H_
@@ -26,12 +26,22 @@
 namespace rtsi::exec {
 
 /// One component that survived selection, with everything the traversal
-/// drivers need. Bound and ceiling are captured at selection time (same
+/// drivers need. Bound and ceilings are captured at selection time (same
 /// capture-once semantics as max_pop).
+///
+/// The popularity and freshness parts of every bound over the component
+/// are constants: popularity is bounded by the global maximum counter
+/// (PopScore(max_pop, max_pop)), freshness by the component's live-
+/// freshness ceiling. Both dominate the *live* values a candidate is
+/// scored with — stored posting snapshots go stale after a /pop update
+/// or a later window of the same stream — so pruning never changes the
+/// result set. Each ceiling also dominates every freshness stored in the
+/// component, so only the relevance part varies with the walk.
 struct SelectedComponent {
   const index::InvertedIndex* component = nullptr;
   double bound = 0.0;
-  Timestamp frsh_ceiling = 0;  // Live-freshness ceiling for Threshold().
+  double pop_score = 0.0;   // Popularity ceiling, scored.
+  double frsh_score = 0.0;  // Live-freshness ceiling, scored.
   double rel_total = 0.0;   // Screen: bound on this component's rel part.
   std::size_t order = 0;    // Snapshot position: deterministic sort
                             // tie-break and the component's screen row.
@@ -46,11 +56,13 @@ struct SelectorOptions {
   /// precompute admission-screen ingredients. Off = posting-map Bounds().
   bool consult_headers = false;
   /// Use the component's residency-bumped FreshnessCeiling cell when it
-  /// has one. The LSII baseline turns this off: its components carry no
-  /// residency bookkeeping, so only the fallback is sound for it.
+  /// has one (LiveFrshCeiling(), floored at the component's largest
+  /// stored freshness). The LSII baseline turns this off: its components
+  /// carry no residency bookkeeping, so only the fallback is sound for it.
   bool use_component_ceiling = true;
-  /// Ceiling when the component has no cell (or cells are not used).
-  /// RTSI passes the stream table's max_frsh() via `fallback_ceiling`;
+  /// Ceiling when the component has no cell (or cells are not used); it
+  /// must dominate every live and stored freshness. RTSI passes the
+  /// stream table's max_frsh() (the largest freshness ever entered);
   /// LSII passes `now` (its workload clock is monotone).
   Timestamp fallback_ceiling = 0;
   /// Drop components whose bound is not strictly positive (RTSI). The

@@ -4,45 +4,23 @@
 
 namespace rtsi::exec {
 
-using core::BoundMode;
 using core::Scorer;
 using index::Posting;
 using index::SortKey;
 
 double ComponentBound(const Scorer& scorer,
-                      const std::vector<PerTermBound>& terms, Timestamp now,
-                      std::uint64_t max_pop_count, Timestamp frsh_ceiling,
-                      BoundMode mode) {
+                      const std::vector<PerTermBound>& terms,
+                      double pop_score, double frsh_score) {
   bool any_present = false;
-  std::uint64_t pop_bound_count = 0;
-  Timestamp frsh_bound = 0;
   double tfidf_sum = 0.0;
   for (const PerTermBound& term : terms) {
     if (!term.bounds.present) continue;
     any_present = true;
-    pop_bound_count =
-        std::max(pop_bound_count,
-                 static_cast<std::uint64_t>(term.bounds.max_pop));
-    frsh_bound = std::max(frsh_bound, term.bounds.max_frsh);
     const TermFreq tf_bound =
         std::max(term.bounds.max_tf, term.tf_correction);
     tfidf_sum += scorer.TermTfIdf(tf_bound, term.idf);
   }
   if (!any_present) return 0.0;
-  if (mode == BoundMode::kGlobalPop) {
-    pop_bound_count = max_pop_count;
-    // Candidates are scored with their *live* freshness, which can exceed
-    // every frsh this component stored (the stream stayed active after
-    // sealing); a live-freshness ceiling keeps the bound sound. The
-    // per-component residency-bumped ceiling is tight — only streams
-    // actually resident here can raise it — where the table-global
-    // maximum would let one recently-active stream drag every
-    // component's bound to ~now.
-    frsh_bound = std::max(frsh_bound, frsh_ceiling);
-  }
-
-  const double pop_score = scorer.PopScore(pop_bound_count, max_pop_count);
-  const double frsh_score = scorer.FrshScore(frsh_bound, now);
   const double rel_score =
       scorer.RelScore(tfidf_sum, static_cast<int>(terms.size()));
   return scorer.Combine(pop_score, rel_score, frsh_score);
@@ -101,37 +79,19 @@ bool Traversal::NextRoundImpl(std::vector<Posting>& out,
 }
 
 double Traversal::Threshold(const Scorer& scorer,
-                            const std::vector<double>& idfs, Timestamp now,
-                            std::uint64_t max_pop_count,
-                            Timestamp frsh_ceiling, BoundMode mode) const {
+                            const std::vector<double>& idfs,
+                            double pop_score, double frsh_score) const {
   bool any_active = false;
-  std::uint64_t pop_bound_count = 0;
-  Timestamp frsh_bound = 0;
   double tfidf_sum = 0.0;
   for (std::size_t i = 0; i < cursors_.size(); ++i) {
     const TermCursor& cursor = cursors_[i];
     if (cursor.exhausted) continue;
     any_active = true;
-    const Posting& pop_head =
-        cursor.view->At(SortKey::kPopularity, cursor.pos[0]);
-    const Posting& frsh_head =
-        cursor.view->At(SortKey::kFreshness, cursor.pos[1]);
     const Posting& tf_head =
         cursor.view->At(SortKey::kTermFrequency, cursor.pos[2]);
-    pop_bound_count = std::max(
-        pop_bound_count, static_cast<std::uint64_t>(pop_head.pop));
-    frsh_bound = std::max(frsh_bound, frsh_head.frsh);
     tfidf_sum += scorer.TermTfIdf(tf_head.tf, idfs[i]);
   }
   if (!any_active) return 0.0;
-  if (mode == BoundMode::kGlobalPop) {
-    pop_bound_count = max_pop_count;
-    // The component's live-freshness ceiling (see ComponentBound).
-    frsh_bound = std::max(frsh_bound, frsh_ceiling);
-  }
-
-  const double pop_score = scorer.PopScore(pop_bound_count, max_pop_count);
-  const double frsh_score = scorer.FrshScore(frsh_bound, now);
   const double rel_score =
       scorer.RelScore(tfidf_sum, static_cast<int>(cursors_.size()));
   return scorer.Combine(pop_score, rel_score, frsh_score);

@@ -1,8 +1,12 @@
 // The Traversal operator of the query-execution pipeline: component
 // upper bounds (the sc-top of Algorithm 3) and the threshold-algorithm
 // walk of a sealed component's three sorted inverted lists. Shared by
-// every query path (RTSI fast/explain and the
-// extended-LSII baseline); moved here from core/query_util.
+// every query path (RTSI fast/explain and the extended-LSII baseline).
+//
+// There is one bound: relevance comes from the lists (per-term max_tf, or
+// the tf-sorted heads per round), popularity and freshness from the
+// component's constant ceilings (see SelectedComponent), never from the
+// values stored in the postings.
 
 #ifndef RTSI_EXEC_TRAVERSAL_H_
 #define RTSI_EXEC_TRAVERSAL_H_
@@ -11,7 +15,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/config.h"
 #include "core/scorer.h"
 #include "index/inverted_index.h"
 
@@ -19,7 +22,7 @@ namespace rtsi::exec {
 
 /// Per-query-term inputs for a component bound.
 struct PerTermBound {
-  index::TermBounds bounds;   // Maxima of the term inside the component.
+  index::TermBounds bounds;   // The term's max_tf inside the component.
   double idf = 0.0;
   TermFreq tf_correction = 0;  // Extra tf headroom for multi-component
                                // streams (0 when the owner guarantees
@@ -29,16 +32,13 @@ struct PerTermBound {
 
 /// Largest possible score of any stream whose postings for the query terms
 /// lie in a component with these maxima. Returns 0 when no term is
-/// present. `frsh_ceiling` is a ceiling on the *live* freshness of every
-/// stream resident in the component (per-component FreshnessCeiling cell;
-/// the stream table's global max_frsh() is the sound fallback, and the
-/// LSII baseline passes `now`); kGlobalPop mode substitutes it for the
-/// component's stored freshness maxima, which go stale once a stream
-/// posts again after the component sealed. kSnapshot ignores it.
+/// present. Only relevance is read from the per-term maxima: `pop_score`
+/// and `frsh_score` are the component's popularity and freshness ceilings
+/// (see SelectedComponent), which bound the *live* values candidates are
+/// scored with, so stored snapshots never enter the bound.
 double ComponentBound(const core::Scorer& scorer,
-                      const std::vector<PerTermBound>& terms, Timestamp now,
-                      std::uint64_t max_pop_count, Timestamp frsh_ceiling,
-                      core::BoundMode mode);
+                      const std::vector<PerTermBound>& terms,
+                      double pop_score, double frsh_score);
 
 /// Round-based sorted access over one sealed component (Algorithm 3 lines
 /// 10-17): each round yields the next unchecked posting from each of the
@@ -60,14 +60,13 @@ class Traversal {
   bool NextRound(std::vector<index::Posting>& out,
                  std::vector<std::uint32_t>& term_of);
 
-  /// Upper bound on the score of all unchecked postings, from the current
-  /// cursor values. `idfs` aligns with the constructor's `terms`;
-  /// `frsh_ceiling` is the component's live-freshness ceiling (see
-  /// ComponentBound).
+  /// Upper bound on the score of all unchecked postings, from the
+  /// tf-sorted cursor heads. `idfs` aligns with the constructor's `terms`;
+  /// `pop_score` and `frsh_score` are the component's constant ceilings
+  /// (see ComponentBound).
   double Threshold(const core::Scorer& scorer,
-                   const std::vector<double>& idfs, Timestamp now,
-                   std::uint64_t max_pop_count, Timestamp frsh_ceiling,
-                   core::BoundMode mode) const;
+                   const std::vector<double>& idfs, double pop_score,
+                   double frsh_score) const;
 
   /// Random access used when scoring a candidate discovered via another
   /// term: aggregated posting of `stream` for terms[i], if present.

@@ -52,14 +52,12 @@ TermBounds InvertedIndex::Bounds(TermId term) const {
   if (compressed_) {
     auto it = compressed_terms_.find(term);
     if (it == compressed_terms_.end()) return bounds;
-    bounds = {it->second.max_pop(), it->second.max_frsh(),
-              it->second.max_tf(), true};
+    bounds = {it->second.max_tf(), true};
     return bounds;
   }
   auto it = terms_.find(term);
   if (it == terms_.end()) return bounds;
-  bounds = {it->second.max_pop(), it->second.max_frsh(),
-            it->second.max_tf(), true};
+  bounds = {it->second.max_tf(), true};
   return bounds;
 }
 

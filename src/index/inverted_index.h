@@ -47,10 +47,10 @@ class TermPostingsView {
   bool has_owned_ = false;
 };
 
-/// Upper bounds of one term inside one component, for query pruning.
+/// Relevance bound of one term inside one component, for query pruning
+/// (popularity and freshness are bounded by live ceilings instead; see
+/// exec::SelectedComponent).
 struct TermBounds {
-  float max_pop = 0.0f;
-  Timestamp max_frsh = 0;
   TermFreq max_tf = 0;
   bool present = false;
 };

@@ -87,9 +87,8 @@ std::vector<std::string> QueryProcessor::PhonesToKeywords(
   return words;
 }
 
-ProcessedQuery QueryProcessor::ProcessVoice(const audio::PcmBuffer& pcm,
-                                            Rng& rng) const {
-  (void)rng;
+ProcessedQuery QueryProcessor::ProcessVoice(
+    const audio::PcmBuffer& pcm) const {
   ProcessedQuery out;
   const asr::PhoneticLattice lattice = pipeline_->decoder().Decode(pcm);
 

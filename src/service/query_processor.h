@@ -47,8 +47,9 @@ class QueryProcessor {
   ProcessedQuery ProcessKeywords(const std::string& query, Rng& rng) const;
 
   /// Voice query: decodes the audio, derives lattice units, and converts
-  /// the best phone path back to keywords via the lexicon.
-  ProcessedQuery ProcessVoice(const audio::PcmBuffer& pcm, Rng& rng) const;
+  /// the best phone path back to keywords via the lexicon. Draws no
+  /// randomness, so it needs no caller-side serialization.
+  ProcessedQuery ProcessVoice(const audio::PcmBuffer& pcm) const;
 
   /// Recognizes whole words from a phone sequence by segmenting it against
   /// cached lexicon pronunciations (greedy longest match). Exposed for

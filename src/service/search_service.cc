@@ -181,11 +181,7 @@ std::vector<SearchResult> SearchService::SearchKeywords(
 std::vector<SearchResult> SearchService::SearchVoice(
     const audio::PcmBuffer& pcm, int k) {
   if (k <= 0) k = config_.default_k;
-  ProcessedQuery processed;
-  {
-    std::lock_guard<std::mutex> rng_lock(rng_mu_);
-    processed = query_processor_->ProcessVoice(pcm, rng_);
-  }
+  const ProcessedQuery processed = query_processor_->ProcessVoice(pcm);
   const auto indices = PinIndices();
   return SearchBothModalities(*indices, processed.text_terms,
                               processed.sound_terms, 2 * k, k);

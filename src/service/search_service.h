@@ -172,10 +172,11 @@ class SearchService {
   // query path.
   AtomicSharedPtr<const IndexPair> indices_;
   std::atomic<int> restores_in_flight_{0};
-  // The service RNG feeds ASR simulation for ingestion, query processing
-  // and synthesis; entry points can run concurrently, so draws are
-  // serialized by rng_mu_ (single-threaded call sequences are unaffected,
-  // keeping seeded runs deterministic).
+  // The service RNG feeds ASR simulation for ingestion, keyword query
+  // processing and synthesis; entry points can run concurrently, so draws
+  // are serialized by rng_mu_ (single-threaded call sequences are
+  // unaffected, keeping seeded runs deterministic). Voice queries draw
+  // nothing and take no lock.
   std::mutex rng_mu_;
   Rng rng_;
 };

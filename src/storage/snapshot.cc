@@ -19,6 +19,11 @@ using index::Posting;
 using index::StreamInfo;
 using index::TermPostings;
 
+// The v5 layout's bound-mode slot. Older writers stored 0 or 1 for two
+// bound modes; the index now prunes with one bound whatever the slot
+// says, so the writer fixes it at 1 and the reader only range-checks it.
+constexpr std::uint32_t kBoundSlot = 1;
+
 void WriteConfig(SnapshotWriter& writer, const RtsiConfig& config) {
   writer.WriteU64(config.lsm.delta);
   writer.WriteDouble(config.lsm.rho);
@@ -29,7 +34,7 @@ void WriteConfig(SnapshotWriter& writer, const RtsiConfig& config) {
   writer.WriteDouble(config.weights.frsh);
   writer.WriteDouble(config.freshness_tau_seconds);
   writer.WriteU32(config.use_bound ? 1 : 0);
-  writer.WriteU32(static_cast<std::uint32_t>(config.bound_mode));
+  writer.WriteU32(kBoundSlot);
   writer.WriteU32(static_cast<std::uint32_t>(config.default_k));
   // v5: the compaction policy and its tiering knob, so the restored tree
   // keeps folding runs the way the saved one did.
@@ -54,7 +59,7 @@ bool ReadConfig(SnapshotReader& reader, RtsiConfig& config) {
   config.lsm.compress = compress != 0;
   config.lsm.num_l0_shards = shards;
   config.use_bound = use_bound != 0;
-  config.bound_mode = static_cast<core::BoundMode>(bound_mode);
+  if (bound_mode > kBoundSlot) return false;
   config.default_k = static_cast<int>(k);
   if (reader.version() >= 5) {
     std::uint32_t policy = 0;

@@ -24,10 +24,9 @@ TEST_P(DifferentialSoak, RtsiAndLsiiAgreeOnSingleWindowWorkloads) {
   RtsiConfig config;
   config.lsm.delta = 200;
   config.lsm.num_l0_shards = 4;
-  // Popularity updates land after insertion; the snapshot bound mode is
-  // then only approximate. The global-pop mode keeps both systems exact,
-  // so their outputs must match bit for bit.
-  config.bound_mode = core::BoundMode::kGlobalPop;
+  // Popularity updates land after insertion; the pruning bound's live
+  // ceilings keep both systems exact, so their outputs must match bit for
+  // bit.
   core::RtsiIndex rtsi(config);
   baseline::LsiiIndex lsii(config);
 

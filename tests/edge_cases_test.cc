@@ -185,7 +185,8 @@ TEST_P(BoundSafetyProperty, ComponentBoundDominatesRandomContents) {
   }
   const Timestamp now = 1000;
   const double bound = exec::ComponentBound(
-      scorer, per_term, now, max_pop, 0, core::BoundMode::kSnapshot);
+      scorer, per_term, scorer.PopScore(max_pop, max_pop),
+      scorer.FrshScore(component.LiveFrshCeiling(), now));
 
   // Any stream scored purely from this component's postings must fall
   // under the bound.

@@ -6,7 +6,6 @@
 
 namespace rtsi::exec {
 
-using core::BoundMode;
 using core::Scorer;
 using core::ScoreWeights;
 namespace {
@@ -20,12 +19,20 @@ Posting P(StreamId s, float pop, Timestamp frsh, TermFreq tf) {
 
 Scorer DefaultScorer() { return Scorer(ScoreWeights{}, 3600.0); }
 
+// The selector's constant parts of every bound over `idx`: the global
+// popularity maximum and the component's live-freshness ceiling.
+double PopCeiling(const Scorer& scorer, std::uint64_t max_pop) {
+  return scorer.PopScore(max_pop, max_pop);
+}
+double FrshCeiling(const Scorer& scorer, const InvertedIndex& idx,
+                   Timestamp now) {
+  return scorer.FrshScore(idx.LiveFrshCeiling(), now);
+}
+
 TEST(ComponentBoundTest, ZeroWhenNoTermPresent) {
   const Scorer scorer = DefaultScorer();
   std::vector<PerTermBound> terms(2);  // present = false.
-  EXPECT_DOUBLE_EQ(
-      ComponentBound(scorer, terms, 1000, 100, 0, BoundMode::kSnapshot),
-      0.0);
+  EXPECT_DOUBLE_EQ(ComponentBound(scorer, terms, 1.0, 1.0), 0.0);
 }
 
 TEST(ComponentBoundTest, DominatesAnyContainedPosting) {
@@ -40,8 +47,9 @@ TEST(ComponentBoundTest, DominatesAnyContainedPosting) {
   terms[0].idf = 2.0;
   const Timestamp now = 1000;
   const std::uint64_t max_pop = 100;
-  const double bound =
-      ComponentBound(scorer, terms, now, max_pop, 0, BoundMode::kSnapshot);
+  const double bound = ComponentBound(scorer, terms,
+                                      PopCeiling(scorer, max_pop),
+                                      FrshCeiling(scorer, idx, now));
 
   // Score each posting as if its snapshot were its true info.
   for (const Posting& p : idx.GetPlain(1)->entries()) {
@@ -53,40 +61,30 @@ TEST(ComponentBoundTest, DominatesAnyContainedPosting) {
   }
 }
 
-TEST(ComponentBoundTest, GlobalPopModeIsLooser) {
+TEST(ComponentBoundTest, CeilingsDominateLiveValues) {
   const Scorer scorer = DefaultScorer();
   InvertedIndex idx(1);
-  idx.Add(1, P(10, 10.0f, 500, 3));
-  idx.SealAll();
-  std::vector<PerTermBound> terms(1);
-  terms[0].bounds = idx.Bounds(1);
-  terms[0].idf = 1.0;
-  const double snapshot =
-      ComponentBound(scorer, terms, 1000, 1000, 0, BoundMode::kSnapshot);
-  const double global =
-      ComponentBound(scorer, terms, 1000, 1000, 1000, BoundMode::kGlobalPop);
-  EXPECT_GE(global, snapshot);
-}
-
-TEST(ComponentBoundTest, GlobalModeCeilsLiveFreshness) {
-  const Scorer scorer = DefaultScorer();
-  InvertedIndex idx(1);
-  idx.Add(1, P(10, 10.0f, 500, 3));  // Sealed with stale frsh = 500.
+  idx.Add(1, P(10, 10.0f, 500, 3));  // Sealed with pop 10, frsh 500.
   idx.SealAll();
   std::vector<PerTermBound> terms(1);
   terms[0].bounds = idx.Bounds(1);
   terms[0].idf = 1.0;
   const Timestamp now = 10000;
   const std::uint64_t max_pop = 1000;
-  // The stream posted again after sealing: its live freshness is `now`,
-  // far ahead of the component's stored maximum. The global-ceiling bound
-  // must still dominate the live score; the snapshot bound does not.
+  // After sealing, the stream was played (live pop = the global maximum)
+  // and posted again (live frsh = now, which bumped the component's
+  // ceiling cell): both far above the stored snapshot. The bound must
+  // still dominate the live score.
+  idx.AdoptCeiling(1, std::make_shared<index::FreshnessCeiling>());
+  idx.BumpCeiling(now);
   const double live_score = scorer.Combine(
-      scorer.PopScore(10, max_pop), scorer.RelScore(scorer.TermTfIdf(3, 1.0), 1),
+      scorer.PopScore(max_pop, max_pop),
+      scorer.RelScore(scorer.TermTfIdf(3, 1.0), 1),
       scorer.FrshScore(now, now));
-  const double global = ComponentBound(scorer, terms, now, max_pop, now,
-                                       BoundMode::kGlobalPop);
-  EXPECT_GE(global, live_score);
+  const double bound = ComponentBound(scorer, terms,
+                                      PopCeiling(scorer, max_pop),
+                                      FrshCeiling(scorer, idx, now));
+  EXPECT_GE(bound, live_score);
 }
 
 TEST(ComponentBoundTest, TfCorrectionRaisesBound) {
@@ -97,11 +95,11 @@ TEST(ComponentBoundTest, TfCorrectionRaisesBound) {
   std::vector<PerTermBound> terms(1);
   terms[0].bounds = idx.Bounds(1);
   terms[0].idf = 1.0;
-  const double base =
-      ComponentBound(scorer, terms, 1000, 100, 0, BoundMode::kSnapshot);
+  const double pop = PopCeiling(scorer, 100);
+  const double frsh = FrshCeiling(scorer, idx, 1000);
+  const double base = ComponentBound(scorer, terms, pop, frsh);
   terms[0].tf_correction = 50;
-  const double corrected =
-      ComponentBound(scorer, terms, 1000, 100, 0, BoundMode::kSnapshot);
+  const double corrected = ComponentBound(scorer, terms, pop, frsh);
   EXPECT_GT(corrected, base);
 }
 
@@ -148,7 +146,8 @@ TEST(TraversalTest, ThresholdDecreasesMonotonically) {
   while (traversal.NextRound(round)) {
     round.clear();
     const double tau =
-        traversal.Threshold(scorer, idfs, 200, 100, 0, BoundMode::kSnapshot);
+        traversal.Threshold(scorer, idfs, PopCeiling(scorer, 100),
+                            FrshCeiling(scorer, idx, 200));
     EXPECT_LE(tau, prev + 1e-12);
     prev = tau;
   }
@@ -174,8 +173,8 @@ TEST(TraversalTest, ThresholdBoundsUnseenPostings) {
     for (const Posting& p : round) seen.insert(p.stream);
     round.clear();
     const double tau =
-        traversal.Threshold(scorer, idfs, now, max_pop, 0,
-                            BoundMode::kSnapshot);
+        traversal.Threshold(scorer, idfs, PopCeiling(scorer, max_pop),
+                            FrshCeiling(scorer, idx, now));
     // Every unseen posting's (snapshot) score must be below tau.
     for (const Posting& p : idx.GetPlain(1)->entries()) {
       if (seen.count(p.stream) > 0) continue;

@@ -1,6 +1,5 @@
 // Brute-force oracle comparison for the extended-LSII baseline on full
-// multi-window live workloads. With the global-pop bound mode LSII's
-// pruning is provably safe (its per-term tf correction covers streams
+// multi-window live workloads. LSII's pruning is provably safe (its per-term tf correction covers streams
 // spanning components), so its top-k must be exact — evidence that the
 // baseline is implemented faithfully, not handicapped.
 
@@ -85,7 +84,6 @@ TEST_P(LsiiOracleTest, TopKMatchesBruteForce) {
   RtsiConfig config;
   config.lsm.delta = 150;
   config.lsm.num_l0_shards = 4;
-  config.bound_mode = core::BoundMode::kGlobalPop;
   LsiiIndex index(config);
   const core::Scorer scorer(config.weights, config.freshness_tau_seconds);
   LsiiOracle oracle;

@@ -44,8 +44,7 @@ TEST(MergeWindowTest, QueriesBeforeSwapMatchPublishedView) {
   config.lsm.delta = 40;  // A freeze every few steps, merges every few more.
   config.lsm.num_l0_shards = 2;
   // Streams are finished long after their first windows sealed; the
-  // global-pop ceilings keep pruning lossless there (see core/config.h).
-  config.bound_mode = BoundMode::kGlobalPop;
+  // bound's live ceilings keep pruning lossless there (see core/config.h).
   RtsiIndex index(config);
 
   constexpr TermId kVocab = 6;
@@ -121,7 +120,6 @@ TEST(MergeWindowTest, ResumedStreamGetsItsSealedTotalsBack) {
   RtsiConfig config;
   config.lsm.delta = 20;
   config.lsm.num_l0_shards = 1;
-  config.bound_mode = BoundMode::kGlobalPop;
   RtsiIndex index(config);
   RtsiIndex twin(config);
   constexpr StreamId kStream = 1;

@@ -4,7 +4,7 @@
 // the sharded scatter-gather — drives the same exec::QueryPlan + operator
 // chain, so this suite pins the one invariant the refactor must preserve:
 // bit-identical top-k (streams AND scores) and identical QueryStats
-// across the whole configuration matrix (filter × bound mode × skip
+// across the whole configuration matrix (filter × bound on/off × skip
 // header × merge policy × k range), each row checked against a full-walk
 // oracle that disables every pruning and skipping mechanism. A stress
 // test races queries against ingest, async merges and popularity updates
@@ -77,36 +77,6 @@ void BuildWorkload(const std::vector<SearchIndex*>& indices, int seed,
       }
     } else {
       for (SearchIndex* index : indices) index->DeleteStream(stream);
-    }
-  }
-  *end_time = t;
-}
-
-// A write-once workload: every stream id is inserted exactly once and
-// never updated, finished into a later insert, or deleted — so each
-// stream's live popularity and freshness equal what its sealed postings
-// snapshotted. This is the regime where kSnapshot bounds are exact (see
-// core/config.h); it is also a legal sharded workload (no id reuse).
-void BuildWriteOnceWorkload(const std::vector<SearchIndex*>& indices,
-                            int seed, Timestamp* end_time) {
-  Rng rng(seed);
-  constexpr int kVocab = 50;
-  Timestamp t = 1000;
-  for (int step = 0; step < 900; ++step) {
-    t += kMicrosPerSecond;
-    const auto stream = static_cast<StreamId>(step);
-    std::vector<TermCount> terms;
-    std::set<TermId> used;
-    const int num_terms = 1 + static_cast<int>(rng.NextUint64(6));
-    for (int i = 0; i < num_terms; ++i) {
-      const auto term = static_cast<TermId>(rng.NextUint64(kVocab));
-      if (!used.insert(term).second) continue;
-      terms.push_back({term, 1 + static_cast<TermFreq>(rng.NextUint64(4))});
-    }
-    const bool live = rng.NextBool(0.5);
-    for (SearchIndex* index : indices) {
-      index->InsertWindow(stream, t, terms, live);
-      if (!live) index->FinishStream(stream);
     }
   }
   *end_time = t;
@@ -196,7 +166,6 @@ struct MatrixRow {
   const char* name;
   bool use_bound;
   bool use_skip_header;
-  BoundMode bound_mode;
   lsm::MergePolicy policy;
   int min_k = 1;
   int k_span = 15;
@@ -208,7 +177,6 @@ TEST_P(PipelineMatrixTest, MatchesFullWalkOracleBitwise) {
   const MatrixRow row = GetParam();
   auto config = PipelineConfig(row.use_bound, row.use_skip_header,
                                row.policy);
-  config.bound_mode = row.bound_mode;
   // The oracle scores every posting of every component: no bound walk,
   // no skip headers. It shares the row's merge policy — a
   // stream's relevance accumulates within the component that discovers
@@ -220,13 +188,7 @@ TEST_P(PipelineMatrixTest, MatchesFullWalkOracleBitwise) {
   auto oracle = std::make_unique<RtsiIndex>(oracle_config);
 
   Timestamp t = 0;
-  if (row.bound_mode == BoundMode::kSnapshot) {
-    // kSnapshot bounds are exact only without post-seal popularity or
-    // freshness drift; write-once is the workload shape they are for.
-    BuildWriteOnceWorkload({index.get(), oracle.get()}, /*seed=*/77, &t);
-  } else {
-    BuildWorkload({index.get(), oracle.get()}, /*seed=*/77, &t);
-  }
+  BuildWorkload({index.get(), oracle.get()}, /*seed=*/77, &t);
   // Full compaction folds everything into one component by design;
   // every other policy must leave a real multi-component cascade.
   const std::size_t min_components =
@@ -255,22 +217,19 @@ TEST_P(PipelineMatrixTest, MatchesFullWalkOracleBitwise) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, PipelineMatrixTest,
     ::testing::Values(
-        MatrixRow{"bound_skip", true, true, BoundMode::kGlobalPop,
+        MatrixRow{"bound_skip", true, true, lsm::MergePolicy::kGeometric},
+        MatrixRow{"bound_noskip", true, false,
                   lsm::MergePolicy::kGeometric},
-        MatrixRow{"bound_noskip", true, false, BoundMode::kGlobalPop,
+        MatrixRow{"nobound_skip", false, true,
                   lsm::MergePolicy::kGeometric},
-        MatrixRow{"nobound_skip", false, true, BoundMode::kGlobalPop,
-                  lsm::MergePolicy::kGeometric},
-        MatrixRow{"snapshot", true, true, BoundMode::kSnapshot,
-                  lsm::MergePolicy::kGeometric},
-        MatrixRow{"bound_skip_tiered", true, true, BoundMode::kGlobalPop,
+        MatrixRow{"bound_skip_tiered", true, true,
                   lsm::MergePolicy::kTiered},
-        MatrixRow{"bound_skip_full", true, true, BoundMode::kGlobalPop,
+        MatrixRow{"bound_skip_full", true, true,
                   lsm::MergePolicy::kFullCompaction},
         // Large k keeps the k-th score low, where a ceiling that
         // under-estimates a re-inserted stream's live freshness would
         // actually decide membership.
-        MatrixRow{"bound_skip_large_k", true, true, BoundMode::kGlobalPop,
+        MatrixRow{"bound_skip_large_k", true, true,
                   lsm::MergePolicy::kGeometric, /*min_k=*/10,
                   /*k_span=*/40}),
     [](const ::testing::TestParamInfo<MatrixRow>& info) {
@@ -283,7 +242,6 @@ INSTANTIATE_TEST_SUITE_P(
 // traversal-order regression shows up before results drift.
 TEST(PipelineStatsTest, StatsDeterministicAcrossRunsAndTwins) {
   auto config = PipelineConfig(/*use_bound=*/true, /*use_skip_header=*/true);
-  config.bound_mode = BoundMode::kGlobalPop;
   auto index = std::make_unique<RtsiIndex>(config);
   auto twin = std::make_unique<RtsiIndex>(config);
   Timestamp t = 0;
@@ -308,7 +266,6 @@ TEST(PipelineStatsTest, StatsDeterministicAcrossRunsAndTwins) {
 // breakdown must decompose the reported score exactly.
 TEST(PipelineExplainTest, ExplainResultsMatchQueryBitwise) {
   auto config = PipelineConfig(/*use_bound=*/true, /*use_skip_header=*/true);
-  config.bound_mode = BoundMode::kGlobalPop;
   auto index = std::make_unique<RtsiIndex>(config);
   Timestamp t = 0;
   BuildWorkload({index.get()}, 33, &t);
@@ -335,7 +292,6 @@ TEST(PipelineExplainTest, ExplainResultsMatchQueryBitwise) {
 // contract future standing queries / fuzzy expansion lean on).
 TEST(PipelinePlanTest, ExecutePlanMatchesQueryAndSinkAccumulates) {
   auto config = PipelineConfig(/*use_bound=*/true, /*use_skip_header=*/true);
-  config.bound_mode = BoundMode::kGlobalPop;
   auto index = std::make_unique<RtsiIndex>(config);
   Timestamp t = 0;
   BuildWorkload({index.get()}, 47, &t);
@@ -440,7 +396,6 @@ TEST(PipelineConcurrencyTest, QueriesRaceIngestMergesAndUpdates) {
 TEST(PipelineLsiiTest, LsiiBoundMatchesLsiiFullWalkBitwise) {
   auto bound_config =
       PipelineConfig(/*use_bound=*/true, /*use_skip_header=*/false);
-  bound_config.bound_mode = BoundMode::kGlobalPop;
   auto walk_config =
       PipelineConfig(/*use_bound=*/false, /*use_skip_header=*/false);
   auto bounded = std::make_unique<baseline::LsiiIndex>(bound_config);
@@ -464,7 +419,6 @@ TEST(PipelineShardTest, ShardedGatherMatchesUnshardedBitwise) {
   shard::ShardSetConfig shard_config;
   shard_config.index =
       PipelineConfig(/*use_bound=*/true, /*use_skip_header=*/true);
-  shard_config.index.bound_mode = BoundMode::kGlobalPop;
   shard_config.num_shards = 3;
   auto sharded = std::make_unique<shard::IndexShardSet>(shard_config);
   auto single = std::make_unique<RtsiIndex>(shard_config.index);

@@ -21,9 +21,6 @@ RtsiConfig SmallConfig() {
   RtsiConfig config;
   config.lsm.delta = 150;
   config.lsm.num_l0_shards = 4;
-  // The workloads issue popularity updates after insertion; the global
-  // bound mode keeps top-k exact in that regime (see core/config.h).
-  config.bound_mode = BoundMode::kGlobalPop;
   return config;
 }
 

@@ -253,17 +253,73 @@ TEST(RtsiIndexTest, MemoryBytesGrowsWithContent) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized oracle comparison. Exercises merges, finishes, deletions and
-// multi-window accumulation; configurations where exact top-k is
-// guaranteed (see core/config.h): no popularity updates with kSnapshot,
-// or kGlobalPop with updates, or bound disabled.
+// Randomized oracle comparison. Exercises merges, finishes, deletions,
+// popularity updates and multi-window accumulation; every query's top-k
+// must match the brute-force oracle and, with the bound on, the index's
+// own full walk (SetUseBound(false)) bit for bit.
+
+// A scripted start before the random workload. Each leaves a finished
+// stream whose only posting for the query term sits in a sealed component
+// with a snapshot below the stream's live score, next to a live rival
+// that outscores the snapshot but not the live stream. A bound built from
+// the stored snapshots prunes the true top-1.
+enum class Prelude {
+  kNone,
+  // The stream's later window lacks the term: its live freshness exceeds
+  // the freshness its sealed posting stored.
+  kLaterWindowWithoutTerm,
+  // A /pop update after the posting sealed.
+  kPopAfterSeal,
+};
 
 struct OracleCase {
   int seed;
   bool with_updates;
   bool use_bound;
-  BoundMode mode;
+  Prelude prelude = Prelude::kNone;
 };
+
+void RunPrelude(Prelude prelude, RtsiIndex& index, Oracle& oracle,
+                Timestamp& t) {
+  if (prelude == Prelude::kNone) return;
+  constexpr StreamId kTarget = 100;
+  constexpr StreamId kRival = 101;
+  constexpr TermId kTerm = 100;  // Outside the random workload's vocab.
+  auto insert = [&](StreamId stream, const std::vector<TermCount>& terms,
+                    bool live) {
+    index.InsertWindow(stream, t, terms, live);
+    oracle.Insert(stream, t, terms);
+  };
+  if (prelude == Prelude::kLaterWindowWithoutTerm) {
+    // tf 2 against the rival's 1: the target's relevance edge is smaller
+    // than the freshness its ten-hour-old posting lost, and larger than
+    // the freshness its live value trails the rival's by.
+    insert(kTarget, Terms({{kTerm, 2}}), true);
+    t += 10 * 3600 * kMicrosPerSecond;
+    insert(kTarget, Terms({{kTerm + 1, 1}}), true);
+  } else {
+    insert(kTarget, Terms({{kTerm, 1}}), true);
+  }
+  index.FinishStream(kTarget);
+  // Filler streams until kTarget's windows are sealed into one component
+  // and it has left the live-term table, so only the sealed walk can find
+  // it.
+  StreamId filler = 200;
+  while (index.tree().StreamInL0(kTarget) ||
+         index.live_table().ContainsStream(kTarget)) {
+    ASSERT_LT(filler, 2000u) << "kTarget never sealed";
+    t += kMicrosPerSecond;
+    insert(filler, Terms({{kTerm + 2 + filler % 8, 1}}), false);
+    index.FinishStream(filler++);
+  }
+  if (prelude == Prelude::kPopAfterSeal) {
+    index.UpdatePopularity(kTarget, 50);
+    oracle.UpdatePop(kTarget, 50);
+  }
+  // Live, so the rival is scored exactly before the sealed walk starts.
+  t += kMicrosPerSecond;
+  insert(kRival, Terms({{kTerm, 1}}), true);
+}
 
 class RtsiOracleTest : public ::testing::TestWithParam<OracleCase> {};
 
@@ -272,17 +328,37 @@ TEST_P(RtsiOracleTest, TopKMatchesBruteForce) {
   auto config = SmallConfig();
   config.lsm.delta = 150;
   config.use_bound = param.use_bound;
-  config.bound_mode = param.mode;
   RtsiIndex index(config);
   Oracle oracle;
   Rng rng(param.seed);
+  auto check = [&](const std::vector<TermId>& q, int k, Timestamp now,
+                   const std::string& context) {
+    const auto got = index.Query(q, k, now);
+    ExpectSameTopK(got, oracle.TopK(index, q, k, now), context);
+    if (!param.use_bound) return;
+    index.SetUseBound(false);
+    const auto full = index.Query(q, k, now);
+    index.SetUseBound(true);
+    ASSERT_EQ(got.size(), full.size()) << context << " full walk";
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].stream, full[i].stream) << context << " rank " << i;
+      EXPECT_EQ(got[i].score, full[i].score) << context << " rank " << i;
+    }
+  };
+
+  Timestamp t = 1000;
+  RunPrelude(param.prelude, index, oracle, t);
+  if (param.prelude != Prelude::kNone) {
+    for (const int k : {1, 2}) {
+      check({100}, k, t, "prelude k=" + std::to_string(k));
+    }
+  }
 
   constexpr int kNumStreams = 60;
   constexpr int kVocab = 40;
   std::vector<int> windows_left(kNumStreams);
   for (auto& w : windows_left) w = 1 + static_cast<int>(rng.NextUint64(6));
 
-  Timestamp t = 1000;
   for (int step = 0; step < 400; ++step) {
     t += 30 * kMicrosPerSecond;
     const auto stream = static_cast<StreamId>(rng.NextUint64(kNumStreams));
@@ -319,11 +395,9 @@ TEST_P(RtsiOracleTest, TopKMatchesBruteForce) {
         q.push_back(static_cast<TermId>(rng.NextUint64(kVocab)));
       }
       const int k = 1 + static_cast<int>(rng.NextUint64(10));
-      const auto got = index.Query(q, k, t);
-      const auto expected = oracle.TopK(index, q, k, t);
-      ExpectSameTopK(got, expected,
-                     "step " + std::to_string(step) + " seed " +
-                         std::to_string(param.seed));
+      check(q, k, t,
+            "step " + std::to_string(step) + " seed " +
+                std::to_string(param.seed));
     }
   }
 }
@@ -331,14 +405,12 @@ TEST_P(RtsiOracleTest, TopKMatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(
     Workloads, RtsiOracleTest,
     ::testing::Values(
-        OracleCase{1, false, true, BoundMode::kSnapshot},
-        OracleCase{2, false, true, BoundMode::kSnapshot},
-        OracleCase{3, false, true, BoundMode::kSnapshot},
-        OracleCase{4, true, true, BoundMode::kGlobalPop},
-        OracleCase{5, true, true, BoundMode::kGlobalPop},
-        OracleCase{6, true, false, BoundMode::kSnapshot},
-        OracleCase{7, true, false, BoundMode::kSnapshot},
-        OracleCase{8, false, false, BoundMode::kSnapshot}));
+        OracleCase{1, false, true}, OracleCase{2, false, true},
+        OracleCase{3, false, true}, OracleCase{4, true, true},
+        OracleCase{5, true, true}, OracleCase{6, true, false},
+        OracleCase{7, true, false}, OracleCase{8, false, false},
+        OracleCase{9, false, true, Prelude::kLaterWindowWithoutTerm},
+        OracleCase{10, true, true, Prelude::kPopAfterSeal}));
 
 TEST(RtsiIndexTest, BoundOnAndOffAgree) {
   auto config_on = SmallConfig();

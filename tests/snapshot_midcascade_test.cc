@@ -51,10 +51,8 @@ RtsiConfig SmallConfig(lsm::MergePolicy policy) {
   return config;
 }
 
-// One deterministic InsertWindow op. No popularity updates: those drift
-// the kSnapshot pruning bounds, which would make results depend on
-// component layout rather than content (covered elsewhere); here every
-// comparison must be layout-independent.
+// One deterministic InsertWindow op (popularity updates are covered by
+// the oracle suites).
 struct Op {
   StreamId stream;
   Timestamp now;

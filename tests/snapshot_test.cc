@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <set>
+#include <vector>
 
 #include "common/crc32.h"
 #include "common/rng.h"
@@ -135,7 +136,6 @@ TEST(SnapshotTest, RoundTripPreservesQueryResults) {
 TEST(SnapshotTest, CeilingsSurviveRestoreAndStayTight) {
   const std::string path = TempPath("ceilings");
   RtsiConfig config = SmallConfig();
-  config.bound_mode = core::BoundMode::kGlobalPop;
   auto original = BuildPopulatedIndex(config);
   ASSERT_TRUE(SaveIndexSnapshot(*original, path).ok());
   auto loaded_result = LoadIndexSnapshot(path);
@@ -172,6 +172,69 @@ TEST(SnapshotTest, CeilingsSurviveRestoreAndStayTight) {
   std::remove(path.c_str());
 }
 
+// The config section's bound-mode slot: files written while a second,
+// snapshot-based bound mode existed hold 0 (its default) or 1. Both load
+// and prune with the one sound bound; any other value is a corrupt
+// config section.
+TEST(SnapshotTest, BoundSlotLoadsOldModesAndRejectsOthers) {
+  const std::string path = TempPath("boundslot");
+  auto original = BuildPopulatedIndex(SmallConfig());
+  ASSERT_TRUE(SaveIndexSnapshot(*original, path).ok());
+
+  // magic(8) version(4) delta(8) rho(8) compress(4) shards(8) weights and
+  // tau(4x8) use_bound(4), then the slot.
+  constexpr std::size_t kSlotOffset = 76;
+  std::vector<std::uint8_t> bytes;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::uint8_t buf[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+      bytes.insert(bytes.end(), buf, buf + n);
+    }
+    std::fclose(f);
+  }
+  ASSERT_GT(bytes.size(), kSlotOffset + 8);
+  EXPECT_EQ(bytes[kSlotOffset], 1u);  // The writer's fixed value.
+  auto write_slot = [&](std::uint32_t slot) {
+    for (int i = 0; i < 4; ++i) {
+      bytes[kSlotOffset + i] = static_cast<std::uint8_t>(slot >> (8 * i));
+    }
+    const std::size_t payload = bytes.size() - 4;
+    const std::uint32_t crc = Crc32(0, bytes.data(), payload);
+    for (int i = 0; i < 4; ++i) {
+      bytes[payload + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    }
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  };
+
+  write_slot(0);
+  auto loaded_result = LoadIndexSnapshot(path);
+  ASSERT_TRUE(loaded_result.ok()) << loaded_result.status().ToString();
+  auto& loaded = *loaded_result.value();
+  for (TermId a = 0; a < 40; ++a) {
+    const std::vector<TermId> q = {a, (a + 7) % 40};
+    const Timestamp now = 1'000 * kMicrosPerSecond;
+    loaded.SetUseBound(true);
+    const auto pruned = loaded.Query(q, 5, now);
+    loaded.SetUseBound(false);
+    const auto full = loaded.Query(q, 5, now);
+    ASSERT_EQ(pruned.size(), full.size()) << a;
+    for (std::size_t i = 0; i < pruned.size(); ++i) {
+      ASSERT_EQ(pruned[i].stream, full[i].stream) << a << " rank " << i;
+      ASSERT_EQ(pruned[i].score, full[i].score) << a << " rank " << i;
+    }
+  }
+
+  write_slot(7);
+  EXPECT_FALSE(LoadIndexSnapshot(path).ok());
+  std::remove(path.c_str());
+}
+
 // A v1 snapshot (no per-component ceiling varint, no `finished` flag
 // bit) must still load: the ceiling is reconstructed from the restored
 // stream table when residencies are re-registered, so pruning stays
@@ -192,7 +255,7 @@ TEST(SnapshotTest, LoadsVersion1Snapshots) {
     writer.WriteDouble(config.weights.frsh);
     writer.WriteDouble(config.freshness_tau_seconds);
     writer.WriteU32(config.use_bound ? 1 : 0);
-    writer.WriteU32(static_cast<std::uint32_t>(config.bound_mode));
+    writer.WriteU32(0);  // Bound-mode slot: the default of that era.
     writer.WriteU32(static_cast<std::uint32_t>(config.default_k));
     // Document frequencies: 2 documents, term 7 in both.
     writer.WriteU64(2);

@@ -41,10 +41,9 @@ RtsiConfig ChurnConfig() {
   config.lsm.rho = 2.0;
   config.lsm.num_l0_shards = 4;
   config.async_merge = true;     // Cascades race queries for real.
-  // Streams keep re-inserting after their components seal; only the
-  // global-pop mode's live ceilings keep pruning lossless there (§6c),
-  // which the pruned-vs-full comparison requires.
-  config.bound_mode = core::BoundMode::kGlobalPop;
+  // Streams keep re-inserting after their components seal; the bound's
+  // live ceilings keep pruning lossless there (DESIGN.md §6c), which the
+  // pruned-vs-full comparison requires.
   return config;
 }
 

@@ -6,10 +6,12 @@
 #   3. bench smoke              (ctest -L bench-smoke: every bench binary
 #                                at RTSI_BENCH_SCALE=0.01 — catches bench
 #                                bit-rot plus the correctness exits: the
-#                                fig10 skip on/off checksum divergence and
-#                                the ablation_policy optimized-vs-walk
-#                                audit across all three compaction
-#                                policies)
+#                                fig10 skip on/off checksum divergence,
+#                                the fig10 and fig17 pruned-vs-full-walk
+#                                divergence counts (SetUseBound(false);
+#                                any divergent query fails), and the
+#                                ablation_policy optimized-vs-walk audit
+#                                across all three compaction policies)
 #   4. sanitizer gate           (tools/run_sanitizers.sh: full suite under
 #                                ASan, `-L sanitizer` under TSan — the
 #                                label includes query_pipeline_test, so
